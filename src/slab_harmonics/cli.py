@@ -20,6 +20,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import diffeq as de
 from . import slab as sl
@@ -27,6 +28,9 @@ from .complex_oracle import oracle_compare
 from .poly import MultiPoly
 from .randgen import random_harmonic_poly, random_tfree_poly
 from .report import VerificationReport
+
+
+T = TypeVar("T")
 
 
 class InputError(Exception):
@@ -42,6 +46,15 @@ def _load_json(path: str) -> dict:
     if not isinstance(obj, dict):
         raise InputError(f"{path}: top-level JSON value must be an object")
     return obj
+
+
+def _read_input(path: str, parse: Callable[[dict], T]) -> T:
+    """Load a JSON object from `path` and parse it; malformed content raises
+    InputError, which `main` turns into exit code 2."""
+    try:
+        return parse(_load_json(path))
+    except (KeyError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _write_json(path: str | None, obj: dict, quiet: bool) -> None:
@@ -64,11 +77,7 @@ def _report_exit(report: VerificationReport, quiet: bool) -> int:
 
 
 def cmd_solve_slab(args) -> int:
-    try:
-        prob = sl.SlabProblem.from_json_dict(_load_json(args.input))
-    except (InputError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    prob = _read_input(args.input, sl.SlabProblem.from_json_dict)
     h = sl.solve_slab(prob)
     report = sl.verify_boundary(h, prob)
     _write_json(
@@ -80,11 +89,7 @@ def cmd_solve_slab(args) -> int:
 
 
 def cmd_solve_diffeq(args) -> int:
-    try:
-        prob = de.DiffEqProblem.from_json_dict(_load_json(args.input))
-    except (InputError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    prob = _read_input(args.input, de.DiffEqProblem.from_json_dict)
     sol = de.solve(prob)
     report = de.verify_difference(sol.h, prob.g)
     out = sol.to_json_dict()
@@ -93,35 +98,29 @@ def cmd_solve_diffeq(args) -> int:
     return _report_exit(report, args.quiet)
 
 
+def _check_bundle(obj: dict) -> VerificationReport:
+    kind = obj["kind"]
+    h = MultiPoly.from_json_dict(obj["h"])
+    if kind == "slab":
+        return sl.verify_boundary(h, sl.SlabProblem.from_json_dict(obj["problem"]))
+    if kind == "diffeq":
+        return de.verify_difference(h, de.DiffEqProblem.from_json_dict(obj["problem"]).g)
+    raise InputError(f"unknown problem kind {kind!r}")
+
+
 def cmd_verify(args) -> int:
-    try:
-        obj = _load_json(args.input)
-        kind = obj["kind"]
-        h = MultiPoly.from_json_dict(obj["h"])
-        if kind == "slab":
-            prob = sl.SlabProblem.from_json_dict(obj["problem"])
-            report = sl.verify_boundary(h, prob)
-        elif kind == "diffeq":
-            prob = de.DiffEqProblem.from_json_dict(obj["problem"])
-            report = de.verify_difference(h, prob.g)
-        else:
-            raise InputError(f"unknown problem kind {kind!r}")
-    except (InputError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # the check runs inside the reader: an h of another d than its problem
+    # raises ValueError there, and that is malformed input
+    report = _read_input(args.input, _check_bundle)
     if args.output:
         _write_json(args.output, report.to_json_dict(), args.quiet)
     return _report_exit(report, args.quiet)
 
 
 def cmd_oracle_compare(args) -> int:
-    try:
-        prob = de.DiffEqProblem.from_json_dict(_load_json(args.input))
-        if prob.d != 1:
-            raise InputError("oracle-compare requires d = 1")
-    except (InputError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    prob = _read_input(args.input, de.DiffEqProblem.from_json_dict)
+    if prob.d != 1:
+        raise InputError("oracle-compare requires d = 1")
     sol = de.solve(prob)
     report = oracle_compare(prob.g, sol.h)
     _write_json(
@@ -163,12 +162,8 @@ def _parse_grid(spec: str, d: int) -> list[list[float]]:
 
 
 def cmd_eval(args) -> int:
-    try:
-        p = MultiPoly.from_json_dict(_load_json(args.input))
-        axes = _parse_grid(args.grid, p.d)
-    except (InputError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    p = _read_input(args.input, MultiPoly.from_json_dict)
+    axes = _parse_grid(args.grid, p.d)
     names = ["t"] + [f"y{j}" for j in range(1, p.d + 1)]
     lines = [",".join(names + ["value"])]
 
@@ -245,7 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

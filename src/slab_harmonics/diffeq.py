@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .laplace import poisson_solve
-from .poly import MultiPoly
+from .poly import MultiPoly, _require_harmonic
 from .report import VerificationReport
 from .slab import SlabProblem, solve_slab
 
@@ -27,9 +27,7 @@ class DiffEqProblem:
     def __post_init__(self):
         if self.g.d != self.d:
             raise ValueError("right-hand side dimension does not match problem dimension")
-        lap = self.g.laplacian()
-        if not lap.is_zero:
-            raise ValueError(f"right-hand side must be harmonic; laplacian = {lap}")
+        _require_harmonic(self.g, "right-hand side must be harmonic")
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "g": self.g.to_json_dict()}
@@ -51,19 +49,13 @@ class DiffEqSolution:
         }
 
 
-def _check_harmonic(g: MultiPoly, who: str) -> None:
-    lap = g.laplacian()
-    if not lap.is_zero:
-        raise ValueError(f"{who} requires a harmonic input; laplacian = {lap}")
-
-
 def solve_even(g_even: MultiPoly) -> MultiPoly:
     """Solution of the difference equation for harmonic g even in t.
 
     The slab solution with h(0,y) = -g(0,y)/2 and h(1/2,y) = 0 satisfies
     h(t+1,y) - h(t,y) = g(t,y) as an exact polynomial identity.
     """
-    _check_harmonic(g_even, "solve_even")
+    _require_harmonic(g_even, "solve_even requires a harmonic input")
     _, odd_part = g_even.parity_split_t()
     if not odd_part.is_zero:
         raise ValueError(f"solve_even requires an even input, got odd part {odd_part}")
@@ -83,7 +75,7 @@ def harmonic_t_antiderivative(g: MultiPoly) -> MultiPoly:
     u is the plain t-antiderivative minus a Poisson correction G(y) with
     Lap_y G = f, where f := Lap_y(int_0^t g) + dg/dt is t-free for harmonic g.
     """
-    _check_harmonic(g, "harmonic_t_antiderivative")
+    _require_harmonic(g, "harmonic_t_antiderivative requires a harmonic input")
     h_tilde = g.integrate_t()
     f = h_tilde.laplacian_y() + g.derivative(0)
     if not f.is_t_free:
@@ -96,7 +88,7 @@ def _solve_odd_stages(g_odd: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly
     """(u, H, dH/dt) for odd harmonic g: u is the even harmonic
     t-antiderivative, H solves the difference equation for u, and dH/dt
     solves it for g."""
-    _check_harmonic(g_odd, "solve_odd")
+    _require_harmonic(g_odd, "solve_odd requires a harmonic input")
     even_part, _ = g_odd.parity_split_t()
     if not even_part.is_zero:
         raise ValueError(f"solve_odd requires an odd input, got even part {even_part}")

@@ -24,6 +24,21 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _laplacian_terms(
+    terms: Mapping[tuple[int, ...], Fraction], first: int
+) -> dict[tuple[int, ...], Fraction]:
+    """Sum of second partials over variables first..d of a term map, in one
+    pass; the result has no zero coefficients."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in terms.items():
+        for var in range(first, len(exps)):
+            n = exps[var]
+            if n > 1:
+                e = exps[:var] + (n - 2,) + exps[var + 1 :]
+                out[e] = out.get(e, 0) + c * (n * (n - 1))
+    return {e: c for e, c in out.items() if c}
+
+
 class MultiPoly:
     """Immutable sparse multivariate polynomial over the rationals."""
 
@@ -179,17 +194,11 @@ class MultiPoly:
 
     def laplacian(self) -> "MultiPoly":
         """Sum of second partials over all d+1 variables."""
-        result = MultiPoly.zero(self.d)
-        for var in range(self.d + 1):
-            result = result + self.derivative(var).derivative(var)
-        return result
+        return MultiPoly(self.d, _laplacian_terms(self._terms, 0))
 
     def laplacian_y(self) -> "MultiPoly":
         """Sum of second partials over the y-variables only."""
-        result = MultiPoly.zero(self.d)
-        for var in range(1, self.d + 1):
-            result = result + self.derivative(var).derivative(var)
-        return result
+        return MultiPoly(self.d, _laplacian_terms(self._terms, 1))
 
     @property
     def is_harmonic(self) -> bool:
@@ -288,15 +297,27 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "MultiPoly":
+        """Read the polynomial schema; any malformed content raises ValueError."""
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"a polynomial must be an object, got {obj!r}")
         d = obj["d"]
-        if not isinstance(d, int):
+        if type(d) is not int:  # also rejects bool
             raise ValueError(f"'d' must be an integer, got {d!r}")
+        items = obj["terms"]
+        if not isinstance(items, list):
+            raise ValueError(f"'terms' must be a list, got {items!r}")
         terms: dict[tuple[int, ...], Fraction] = {}
-        for item in obj["terms"]:
-            exps = tuple(item["exps"])
-            if not all(isinstance(e, int) for e in exps):
-                raise ValueError(f"exponents must be integers: {exps!r}")
-            coeff = Fraction(item["coeff"])
+        for item in items:
+            if not isinstance(item, Mapping):
+                raise ValueError(f"a term must be an object, got {item!r}")
+            exps = item["exps"]
+            if not isinstance(exps, list) or not all(type(e) is int for e in exps):
+                raise ValueError(f"exponents must be a list of integers: {exps!r}")
+            try:
+                coeff = Fraction(item["coeff"])
+            except (TypeError, ZeroDivisionError) as exc:
+                raise ValueError(f"invalid coefficient {item['coeff']!r}: {exc}") from exc
+            exps = tuple(exps)
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
         return cls(d, terms)
 
@@ -328,6 +349,13 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly(d={self.d}, {self})"
+
+
+def _require_harmonic(p: MultiPoly, what: str) -> None:
+    """Raise ValueError("<what>; laplacian = ...") unless p is harmonic."""
+    lap = p.laplacian()
+    if not lap.is_zero:
+        raise ValueError(f"{what}; laplacian = {lap}")
 
 
 def variables(d: int) -> tuple[MultiPoly, ...]:

@@ -37,23 +37,6 @@ def random_tfree_poly(
     return MultiPoly(d, terms)
 
 
-def random_poly(
-    rng: random.Random,
-    d: int,
-    max_degree: int,
-    max_terms: int = 6,
-) -> MultiPoly:
-    """Sparse random polynomial in all of (t, y1, ..., yd)."""
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        deg = rng.randint(0, max_degree)
-        exps = [0] * (d + 1)
-        for _ in range(deg):
-            exps[rng.randint(0, d)] += 1
-        terms[tuple(exps)] = random_rational(rng)
-    return MultiPoly(d, terms)
-
-
 def random_harmonic_poly(
     rng: random.Random,
     d: int,

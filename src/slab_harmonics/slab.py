@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .laplace import even_ck_extension, invert_trace_operator, odd_ck_extension
-from .poly import MultiPoly, Scalar, _frac
+from .poly import MultiPoly, Scalar, _frac, _require_harmonic
 from .report import VerificationReport
 
 
@@ -84,16 +84,10 @@ def verify_boundary(h: MultiPoly, prob: SlabProblem) -> VerificationReport:
     )
 
 
-def _require_harmonic(h: MultiPoly, check: str) -> None:
-    lap = h.laplacian()
-    if not lap.is_zero:
-        raise ValueError(f"{check} requires a harmonic input; laplacian = {lap}")
-
-
 def even_reflection_identity(h: MultiPoly) -> VerificationReport:
     """Check h(t,y) + h(-t,y) = 2 H(t,y) with H the even CK extension of h's
     trace at 0 (the generalized reflection identity across t = 0)."""
-    _require_harmonic(h, "even_reflection_identity")
+    _require_harmonic(h, "even_reflection_identity requires a harmonic input")
     start = time.perf_counter()
     two_h_even = even_ck_extension(h.trace(0)).scale(2)
     residual = (h + h.negate_t()) - two_h_even
@@ -106,7 +100,7 @@ def even_reflection_identity(h: MultiPoly) -> VerificationReport:
 
 def odd_wall_reflection(h: MultiPoly, c: Scalar) -> VerificationReport:
     """Check h(c+t,y) = -h(c-t,y) at a wall c where the trace vanishes."""
-    _require_harmonic(h, "odd_wall_reflection")
+    _require_harmonic(h, "odd_wall_reflection requires a harmonic input")
     wall_trace = h.trace(c)
     if not wall_trace.is_zero:
         raise ValueError(f"odd_wall_reflection requires trace(h, {c}) = 0, got {wall_trace}")
@@ -125,7 +119,7 @@ def zero_data_rigidity(h: MultiPoly, a: Scalar, b: Scalar) -> VerificationReport
     (Its reflection extension is periodic in t; a periodic polynomial is
     t-free, and a t-free polynomial vanishing at t = a is zero.)
     """
-    _require_harmonic(h, "zero_data_rigidity")
+    _require_harmonic(h, "zero_data_rigidity requires a harmonic input")
     if not (h.trace(a).is_zero and h.trace(b).is_zero):
         return VerificationReport.not_applicable(
             "zero_data_rigidity", reason="boundary traces are not both zero"

@@ -48,6 +48,35 @@ def test_solve_slab_malformed_file(tmp_path, capsys):
     assert main(["solve-slab", "--input", str(bad), "--quiet"]) == 2
     assert "error" in capsys.readouterr().err
 
+    # malformed polynomials exit 2 with one line from every command reading one
+    good = {"d": 1, "terms": [{"coeff": "1", "exps": [0, 1]}]}
+    bad_polys = [
+        {"d": 1, "terms": [{"coeff": "1/0", "exps": [0, 1]}]},
+        {"d": 1, "terms": [5]},
+        {"d": True, "terms": [{"coeff": "1", "exps": [0, 1]}]},
+        {"d": 1, "terms": [{"coeff": "1", "exps": [True, 0]}]},
+        {"d": 1, "terms": 5},
+        {"d": 1, "terms": [{"coeff": None, "exps": [0, 1]}]},
+        [],
+    ]
+    for poly in bad_polys:
+        inputs = {
+            "solve-slab": {"a": "0", "b": "1", "d": 1, "f0": poly, "f1": good},
+            "solve-diffeq": {"d": 1, "g": poly},
+            "oracle-compare": {"d": 1, "g": poly},
+            "verify": {"kind": "diffeq", "problem": {"d": 1, "g": good}, "h": poly},
+            "eval": poly,
+        }
+        for command, obj in inputs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(obj))
+            argv = [command, "--input", str(path), "--quiet"]
+            if command == "eval":
+                argv += ["--grid", "t=0:1:1,y1=0:1:1"]
+            assert main(argv) == 2, (command, poly)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, poly, err)
+
 
 def test_solve_diffeq_basic(tmp_path):
     out = tmp_path / "solution.json"

@@ -149,6 +149,14 @@ def test_oracle_solve_is_valid_solution_random():
         assert rep.passed
 
 
-def test_complex_poly_json_round_trip():
-    p = ComplexPoly([(F(1, 3), F(0)), (F(-2), F(5, 7))])
-    assert ComplexPoly.from_json_dict(p.to_json_dict()) == p
+def test_oracle_compare_reports_wrong_solution():
+    t, _ = variables(1)
+    h = solve(DiffEqProblem(t, 1)).h
+    rep = oracle_compare(t, h + t * t)
+    assert rep.status == "fail"
+    # (t+1)^2 - t^2 = 2t + 1 and Lap(t^2) = 2
+    assert rep.nonzero_residuals() == {
+        "general_difference": t.scale(2) + MultiPoly.constant(1, 1),
+        "general_laplacian": MultiPoly.constant(1, 2),
+    }
+    assert "r" not in rep.extras

@@ -1,5 +1,6 @@
 """CK extensions, the trace operator and its inverse, and the Poisson solver."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from slab_harmonics import (
     MultiPoly,
+    bernoulli_polynomial,
     even_ck_extension,
     invert_trace_operator,
     odd_ck_extension,
@@ -95,12 +97,37 @@ def test_invert_trace_operator_rejects_zero_height():
 
 def test_trace_operator_round_trip_random():
     rng = random.Random(23)
+    cases = []
     for _ in range(30):
         d = rng.randint(1, 3)
         c = F(rng.randint(1, 5), rng.randint(1, 4)) * rng.choice((1, -1))
-        g = random_tfree_poly(rng, d, 9)
+        cases.append((c, random_tfree_poly(rng, d, 9)))
+    # deep series: 46 Laplacian powers at d=1, dense d=3 data of degree 12
+    _, y1 = variables(1)
+    dense = MultiPoly(3, {
+        (0, i, j, k): F(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 5))
+        for i in range(13) for j in range(13 - i) for k in range(13 - i - j)
+    })
+    cases += [(F(3, 2), y1 ** 90), (F(-2, 3), dense)]
+    for c, g in cases:
         assert invert_trace_operator(c, trace_operator(c, g)) == g
         assert trace_operator(c, invert_trace_operator(c, g)) == g
+
+
+def test_invert_trace_operator_is_the_x_over_sin_x_series():
+    # L_1^(-1) y^n = sum_k A_k Lap^k y^n, where A_k is the coefficient of x^(2k)
+    # in x/sin(x): (-1)^(k+1) 2 (2^(2k-1) - 1) B_2k / (2k)!  (DLMF 4.19.4)
+    n = 100
+    _, y1 = variables(1)
+    g = invert_trace_operator(1, y1 ** n)
+    assert len(g.terms) == n // 2 + 1
+    # B_n(x) = sum_j C(n,j) B_j x^(n-j): one Bernoulli polynomial gives each B_j
+    bern = bernoulli_polynomial(n).coeffs
+    for k in range(n // 2 + 1):
+        b_2k = bern[n - 2 * k][0] / math.comb(n, 2 * k)
+        a_k = (-1) ** (k + 1) * 2 * (F(2) ** (2 * k - 1) - 1) * b_2k / math.factorial(2 * k)
+        lap_k = F(math.factorial(n), math.factorial(n - 2 * k))  # Lap^k y^n / y^(n-2k)
+        assert g.terms[(0, n - 2 * k)] == a_k * lap_k, k
 
 
 def test_operators_are_linear():
