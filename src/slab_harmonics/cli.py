@@ -193,14 +193,17 @@ def cmd_self_test(args) -> int:
         d = rng.randint(1, 3)
         f0 = random_tfree_poly(rng, d, 6)
         f1 = random_tfree_poly(rng, d, 6)
-        prob = sl.SlabProblem(Fraction(0), Fraction(1), d, f0, f1)
-        if not sl.verify_boundary(sl.solve_slab(prob), prob).passed:
-            failures += 1
-            print(f"self-test slab round {i}: FAIL", file=sys.stderr)
-        g = random_harmonic_poly(rng, d, 6)
-        if not de.verify_difference(de.solve(de.DiffEqProblem(g, d)).h, g).passed:
-            failures += 1
-            print(f"self-test diffeq round {i}: FAIL", file=sys.stderr)
+        slab = sl.SlabProblem(Fraction(0), Fraction(1), d, f0, f1)
+        diffeq = de.DiffEqProblem(random_harmonic_poly(rng, d, 6), d)
+        for kind, prob, report in (
+            ("slab", slab, sl.verify_boundary(sl.solve_slab(slab), slab)),
+            ("diffeq", diffeq, de.verify_difference(de.solve(diffeq).h, diffeq.g)),
+        ):
+            if not report.passed:
+                failures += 1
+                # one line; the problem JSON replays through solve-<kind>
+                problem = json.dumps(prob.to_json_dict())
+                print(f"self-test {kind} round {i} seed={seed}: FAIL {problem}", file=sys.stderr)
     if not args.quiet:
         print(f"self-test: {2 * rounds - failures}/{2 * rounds} checks passed (seed={seed})")
     return 1 if failures else 0

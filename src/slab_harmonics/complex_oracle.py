@@ -51,10 +51,6 @@ class ComplexPoly:
         return cls([(Fraction(c), Fraction(0)) for c in coeffs])
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -108,26 +104,29 @@ class ComplexPoly:
         return f"ComplexPoly({list(self.coeffs)})"
 
 
+def _bernoulli_polynomials(n: int) -> list[ComplexPoly]:
+    """[B_0, ..., B_n] via B_0 = 1, B_k' = k B_(k-1), int_0^1 B_k = 0."""
+    bs = [ComplexPoly.from_real([1])]
+    for k in range(1, n + 1):
+        raw = bs[-1].scale((Fraction(k), Fraction(0))).antiderivative()
+        bs.append(raw - ComplexPoly([raw.integral_unit_interval()]))
+    return bs
+
+
 def bernoulli_polynomial(n: int) -> ComplexPoly:
-    """B_n via the recurrence B_0 = 1, B_n' = n B_(n-1), int_0^1 B_n = 0."""
+    """The Bernoulli polynomial B_n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    b = ComplexPoly.from_real([1])
-    for k in range(1, n + 1):
-        raw = b.scale((Fraction(k), Fraction(0))).antiderivative()
-        mean = raw.integral_unit_interval()
-        b = raw - ComplexPoly([mean])
-    return b
+    return _bernoulli_polynomials(n)[n]
 
 
 def solve_complex_difference(g: ComplexPoly) -> ComplexPoly:
     """F with F(z+1) - F(z) = G(z): F = sum_n p_n B_(n+1)(z) / (n+1)."""
+    bs = _bernoulli_polynomials(len(g.coeffs))
     result = ComplexPoly.zero()
     for n, p_n in enumerate(g.coeffs):
-        if p_n == _ZERO:
-            continue
-        b = bernoulli_polynomial(n + 1)
-        result = result + b.scale((p_n[0] / (n + 1), p_n[1] / (n + 1)))
+        if p_n != _ZERO:
+            result = result + bs[n + 1].scale((p_n[0] / (n + 1), p_n[1] / (n + 1)))
     return result
 
 
@@ -166,12 +165,12 @@ def harmonic_conjugate_completion(g: MultiPoly) -> ComplexPoly:
     if g.d != 1:
         raise ValueError("harmonic_conjugate_completion requires d = 1")
     _require_harmonic(g, "input must be harmonic")
-    gt = g.derivative(0)
-    gy = g.derivative(1)
-    deg = max(gt.degree_in(0), gy.degree_in(0), 0)
-    coeffs = []
-    for n in range(deg + 1):
-        coeffs.append((gt.terms.get((n, 0), Fraction(0)), -gy.terms.get((n, 0), Fraction(0))))
+    gt = g.derivative(0).terms
+    gy = g.derivative(1).terms
+    deg = max((e[0] for e in (*gt, *gy)), default=0)
+    coeffs = [
+        (gt.get((n, 0), Fraction(0)), -gy.get((n, 0), Fraction(0))) for n in range(deg + 1)
+    ]
     p = ComplexPoly(coeffs).antiderivative() + ComplexPoly(
         [(g.eval_exact((0, 0)), Fraction(0))]
     )

@@ -1,9 +1,10 @@
 """Constructive solver for h(t+1,y) - h(t,y) = g(t,y), g harmonic polynomial.
 
-Pipeline: split g into even and odd parts in t.  The even part is handled by
-solving a Dirichlet problem on the slab (0, 1/2) with data (-g(0,y)/2, 0).
-The odd part is integrated in t (made harmonic again by subtracting a Poisson
-correction), fed through the even solver, and differentiated back.
+With S(phi) the slab solution on (0, 1/2) with data (phi, 0), S(-g(0,y)/2)
+solves the equation for g even in t.  For g odd in t, the harmonic
+t-antiderivative u = int_0^t g - G, Lap_y G = dg/dt(0,y), is even, and
+d/dt S(-u(0,y)/2) = d/dt S(G/2) solves it.  So h depends only on the traces
+f(y) = g(0,y) and p(y) = dg/dt(0,y):  h = S(-f/2) + d/dt S(G/2).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .laplace import poisson_solve
-from .poly import MultiPoly, _require_harmonic
+from .poly import MultiPoly, _json_dim, _require_harmonic
 from .report import VerificationReport
 from .slab import SlabProblem, solve_slab
 
@@ -34,7 +35,7 @@ class DiffEqProblem:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "DiffEqProblem":
-        return cls(g=MultiPoly.from_json_dict(obj["g"]), d=obj["d"])
+        return cls(d=_json_dim(obj, "a diffeq problem"), g=MultiPoly.from_json_dict(obj["g"]))
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,18 @@ class DiffEqSolution:
         }
 
 
+def _half_slab(phi: MultiPoly) -> MultiPoly:
+    """S(phi): the slab solution on (0, 1/2) with data (phi, 0)."""
+    zero = MultiPoly.zero(phi.d)
+    return solve_slab(SlabProblem(Fraction(0), Fraction(1, 2), phi.d, phi, zero))
+
+
+def _potential(g: MultiPoly) -> MultiPoly:
+    """G with Lap_y G = dg/dt(0,y), which equals Lap_y(int_0^t g) + dg/dt
+    for harmonic g: that sum has t-derivative Lap g = 0."""
+    return poisson_solve(g.derivative(0).trace(0))
+
+
 def solve_even(g_even: MultiPoly) -> MultiPoly:
     """Solution of the difference equation for harmonic g even in t.
 
@@ -59,60 +72,41 @@ def solve_even(g_even: MultiPoly) -> MultiPoly:
     _, odd_part = g_even.parity_split_t()
     if not odd_part.is_zero:
         raise ValueError(f"solve_even requires an even input, got odd part {odd_part}")
-    prob = SlabProblem(
-        a=Fraction(0),
-        b=Fraction(1, 2),
-        d=g_even.d,
-        f0=g_even.trace(0).scale(Fraction(-1, 2)),
-        f1=MultiPoly.zero(g_even.d),
-    )
-    return solve_slab(prob)
+    return _half_slab(g_even.trace(0).scale(Fraction(-1, 2)))
 
 
 def harmonic_t_antiderivative(g: MultiPoly) -> MultiPoly:
-    """Harmonic u with du/dt = g; even in t whenever g is odd.
-
-    u is the plain t-antiderivative minus a Poisson correction G(y) with
-    Lap_y G = f, where f := Lap_y(int_0^t g) + dg/dt is t-free for harmonic g.
-    """
+    """Harmonic u = int_0^t g - G(y) with du/dt = g; even in t whenever g
+    is odd."""
     _require_harmonic(g, "harmonic_t_antiderivative requires a harmonic input")
-    h_tilde = g.integrate_t()
-    f = h_tilde.laplacian_y() + g.derivative(0)
-    if not f.is_t_free:
-        # impossible for harmonic g; would signal an arithmetic bug
-        raise ArithmeticError(f"correction term unexpectedly depends on t: {f}")
-    return h_tilde - poisson_solve(f)
+    return g.integrate_t() - _potential(g)
 
 
-def _solve_odd_stages(g_odd: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """(u, H, dH/dt) for odd harmonic g: u is the even harmonic
-    t-antiderivative, H solves the difference equation for u, and dH/dt
-    solves it for g."""
+def solve_odd(g_odd: MultiPoly) -> MultiPoly:
+    """d/dt S(G/2) for harmonic g odd in t: S(G/2) solves the equation for
+    the even antiderivative u, since u(0,y) = -G(y)."""
     _require_harmonic(g_odd, "solve_odd requires a harmonic input")
     even_part, _ = g_odd.parity_split_t()
     if not even_part.is_zero:
         raise ValueError(f"solve_odd requires an odd input, got even part {even_part}")
-    u = harmonic_t_antiderivative(g_odd)
-    big_h = solve_even(u)
-    return u, big_h, big_h.derivative(0)
-
-
-def solve_odd(g_odd: MultiPoly) -> MultiPoly:
-    return _solve_odd_stages(g_odd)[2]
+    return _half_slab(_potential(g_odd).scale(Fraction(1, 2))).derivative(0)
 
 
 def solve(prob: DiffEqProblem) -> DiffEqSolution:
-    """Harmonic h with shift_t(h,1) - h = g, with pipeline provenance."""
+    """Harmonic h = S(-f/2) + d/dt S(G/2) with shift_t(h,1) - h = g, where
+    f = g(0,y) and G = poisson_solve(dg/dt(0,y)), with pipeline provenance."""
     g_even, g_odd = prob.g.parity_split_t()
-    h_even = solve_even(g_even)
-    u, big_h, h_odd = _solve_odd_stages(g_odd)
+    big_g = _potential(prob.g)
+    h_even = _half_slab(prob.g.trace(0).scale(Fraction(-1, 2)))
+    big_h = _half_slab(big_g.scale(Fraction(1, 2)))
+    h_odd = big_h.derivative(0)
     return DiffEqSolution(
         h=h_even + h_odd,
         provenance={
             "g_even": g_even,
             "g_odd": g_odd,
             "h_even": h_even,
-            "antiderivative_u": u,
+            "antiderivative_u": g_odd.integrate_t() - big_g,
             "intermediate_H": big_h,
             "h_odd": h_odd,
         },

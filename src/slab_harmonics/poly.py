@@ -85,10 +85,6 @@ class MultiPoly:
         exps[index] = 1
         return cls(d, {tuple(exps): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, d: int, exps: Sequence[int], coeff: Scalar = 1) -> "MultiPoly":
-        return cls(d, {tuple(exps): _frac(coeff)})
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -200,10 +196,6 @@ class MultiPoly:
         """Sum of second partials over the y-variables only."""
         return MultiPoly(self.d, _laplacian_terms(self._terms, 1))
 
-    @property
-    def is_harmonic(self) -> bool:
-        return self.laplacian().is_zero
-
     def integrate_t(self) -> "MultiPoly":
         """Antiderivative in t vanishing at t = 0."""
         out: dict[tuple[int, ...], Fraction] = {}
@@ -298,11 +290,7 @@ class MultiPoly:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "MultiPoly":
         """Read the polynomial schema; any malformed content raises ValueError."""
-        if not isinstance(obj, Mapping):
-            raise ValueError(f"a polynomial must be an object, got {obj!r}")
-        d = obj["d"]
-        if type(d) is not int:  # also rejects bool
-            raise ValueError(f"'d' must be an integer, got {d!r}")
+        d = _json_dim(obj, "a polynomial")
         items = obj["terms"]
         if not isinstance(items, list):
             raise ValueError(f"'terms' must be a list, got {items!r}")
@@ -313,10 +301,7 @@ class MultiPoly:
             exps = item["exps"]
             if not isinstance(exps, list) or not all(type(e) is int for e in exps):
                 raise ValueError(f"exponents must be a list of integers: {exps!r}")
-            try:
-                coeff = Fraction(item["coeff"])
-            except (TypeError, ZeroDivisionError) as exc:
-                raise ValueError(f"invalid coefficient {item['coeff']!r}: {exc}") from exc
+            coeff = _json_rational(item["coeff"])
             exps = tuple(exps)
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
         return cls(d, terms)
@@ -349,6 +334,26 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly(d={self.d}, {self})"
+
+
+def _json_dim(obj: object, what: str) -> int:
+    """The integer "d" of a JSON object read as `what`; raises ValueError."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
+    d = obj["d"]
+    if type(d) is not int:  # also rejects bool
+        raise ValueError(f"'d' must be an integer, got {d!r}")
+    return d
+
+
+def _json_rational(value: object) -> Fraction:
+    """A rational from its schema form "p/q" or "p"; else ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"a rational must be a string \"p/q\", got {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"invalid rational {value!r}: {exc}") from exc
 
 
 def _require_harmonic(p: MultiPoly, what: str) -> None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .laplace import even_ck_extension, invert_trace_operator, odd_ck_extension
-from .poly import MultiPoly, Scalar, _frac, _require_harmonic
+from .poly import MultiPoly, Scalar, _frac, _json_dim, _json_rational, _require_harmonic
 from .report import VerificationReport
 
 
@@ -50,9 +50,9 @@ class SlabProblem:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SlabProblem":
         return cls(
-            a=Fraction(obj["a"]),
-            b=Fraction(obj["b"]),
-            d=obj["d"],
+            d=_json_dim(obj, "a slab problem"),
+            a=_json_rational(obj["a"]),
+            b=_json_rational(obj["b"]),
             f0=MultiPoly.from_json_dict(obj["f0"]),
             f1=MultiPoly.from_json_dict(obj["f1"]),
         )
@@ -120,8 +120,10 @@ def zero_data_rigidity(h: MultiPoly, a: Scalar, b: Scalar) -> VerificationReport
     t-free, and a t-free polynomial vanishing at t = a is zero.)
     """
     _require_harmonic(h, "zero_data_rigidity requires a harmonic input")
+    start = time.perf_counter()
     if not (h.trace(a).is_zero and h.trace(b).is_zero):
         return VerificationReport.not_applicable(
             "zero_data_rigidity", reason="boundary traces are not both zero"
         )
-    return VerificationReport.from_residuals("zero_data_rigidity", {"h": h})
+    elapsed = time.perf_counter() - start
+    return VerificationReport.from_residuals("zero_data_rigidity", {"h": h}, elapsed=elapsed)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from slab_harmonics import MultiPoly, variables
+from slab_harmonics import MultiPoly, VerificationReport, diffeq, slab, variables
 from slab_harmonics.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -76,6 +76,30 @@ def test_solve_slab_malformed_file(tmp_path, capsys):
             assert main(argv) == 2, (command, poly)
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (command, poly, err)
+
+    # malformed problem-level fields, through every command reading a problem
+    slab = {"a": "0", "b": "1", "d": 1, "f0": good, "f1": good}
+    diffeq = {"d": 1, "g": good}
+    bad_slabs = [
+        {**slab, "a": "1/0"},
+        {**slab, "a": None},
+        {**slab, "a": [1]},
+        {**slab, "b": 1.5},  # a JSON float is not an exact rational
+        {**slab, "d": True},
+        [],
+    ]
+    bad_diffeqs = [{**diffeq, "d": True}, {**diffeq, "d": "1"}, []]
+    cases = [("solve-slab", p) for p in bad_slabs]
+    cases += [("verify", {"kind": "slab", "problem": p, "h": good}) for p in bad_slabs]
+    for p in bad_diffeqs:
+        cases += [("solve-diffeq", p), ("oracle-compare", p)]
+        cases.append(("verify", {"kind": "diffeq", "problem": p, "h": good}))
+    for command, obj in cases:
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(obj))
+        assert main([command, "--input", str(path), "--quiet"]) == 2, (command, obj)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, obj, err)
 
 
 def test_solve_diffeq_basic(tmp_path):
@@ -168,3 +192,23 @@ def test_self_test_seeded(monkeypatch, capsys):
     monkeypatch.setenv("SLAB_HARMONICS_SEED", "12345")
     assert main(["self-test", "--rounds", "3"]) == 0
     assert "6/6 checks passed" in capsys.readouterr().out
+
+
+def test_self_test_failure_prints_replayable_problem(monkeypatch, capsys, tmp_path):
+    def failing(*args):
+        return VerificationReport.from_residuals("forced", {"r": MultiPoly.constant(1, 1)})
+
+    monkeypatch.setattr(slab, "verify_boundary", failing)
+    monkeypatch.setattr(diffeq, "verify_difference", failing)
+    monkeypatch.setenv("SLAB_HARMONICS_SEED", "7")
+    assert main(["self-test", "--rounds", "2", "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    monkeypatch.undo()
+    assert len(lines) == 4
+    for line, (kind, i) in zip(lines, [("slab", 0), ("diffeq", 0), ("slab", 1), ("diffeq", 1)]):
+        head, problem = line.split(": FAIL ", 1)
+        assert head == f"self-test {kind} round {i} seed=7"
+        # the printed problem replays through the solver and its real verifier
+        path = tmp_path / f"{kind}{i}.json"
+        path.write_text(problem)
+        assert main([f"solve-{kind}", "--input", str(path), "--quiet"]) == 0

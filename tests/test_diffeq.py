@@ -1,5 +1,7 @@
 """Difference-equation pipeline: even/odd solvers, assembly, uniqueness residue."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -82,6 +84,40 @@ def test_antiderivative_parity_claim_random():
         assert u.derivative(0) == g_odd
         assert u.laplacian().is_zero
         assert u.negate_t() == u
+
+
+def test_antiderivative_correction_is_the_normal_trace_random():
+    # Lap_y(int_0^t g) + dg/dt is t-free for harmonic g: it is dg/dt(0,y)
+    rng = random.Random(89)
+    for i in range(24):
+        d = 1 + i % 4
+        g = random_harmonic_poly(rng, d, (14, 9, 7, 5)[d - 1])
+        p = g.derivative(0)
+        assert g.integrate_t().laplacian_y() + p == p.trace(0)
+
+
+def test_solve_output_golden_digest():
+    # sha256 of the canonical JSON of h and all six provenance polynomials,
+    # pinned from the parity-split pipeline this construction replaced
+    rng = random.Random(83)
+    sols = []
+    for i in range(20):
+        d = 1 + i % 4
+        g = random_harmonic_poly(rng, d, (16, 9, 6, 5)[d - 1], max_terms=5)
+        sols.append(solve(DiffEqProblem(g, d)).to_json_dict())
+    digest = hashlib.sha256(json.dumps(sols, sort_keys=True).encode()).hexdigest()
+    assert digest == "c648aeac7349094d1a619b5bc72956c1c524f98613ad2f42e58c6dff69378312"
+
+
+def test_solve_takes_one_full_laplacian(monkeypatch):
+    # the only full Laplacian is the harmonicity check on the input g
+    calls = []
+    laplacian = MultiPoly.laplacian
+    monkeypatch.setattr(MultiPoly, "laplacian", lambda p: calls.append(p) or laplacian(p))
+    t, y1, y2 = variables(2)
+    g = t ** 3 - (t * y1 * y1).scale(3) + y1 * y2 + t
+    solve(DiffEqProblem(g, 2))
+    assert calls == [g]
 
 
 def test_solve_odd_worked_example():

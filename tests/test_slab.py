@@ -176,6 +176,7 @@ def test_zero_data_rigidity():
     zero_solution = solve_slab(
         SlabProblem(F(0), F(1), 1, MultiPoly.zero(1), MultiPoly.zero(1))
     )
-    assert zero_data_rigidity(zero_solution, 0, 1).passed
+    report = zero_data_rigidity(zero_solution, 0, 1)
+    assert report.passed and report.elapsed > 0
     guard = zero_data_rigidity(t, 0, 1)  # trace at b=1 is 1 != 0
     assert guard.status == "not-applicable"
