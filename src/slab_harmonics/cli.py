@@ -18,6 +18,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -31,6 +32,12 @@ from .report import VerificationReport
 
 
 T = TypeVar("T")
+
+# The most decimal digits an integer in an input file may have: Python's
+# str -> int conversion takes quadratic time (about 0.06 s at this size).
+# Output is not limited, so a solve never fails after the work is done;
+# `verify` reads such a solution back only within this bound.
+_MAX_INPUT_DIGITS = 100_000
 
 
 class InputError(Exception):
@@ -48,11 +55,27 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _read_input(path: str, parse: Callable[[dict], T]) -> T:
-    """Load a JSON object from `path` and parse it; malformed content raises
-    InputError, which `main` turns into exit code 2."""
+@contextmanager
+def _int_digits(limit: int):
+    """Set Python's int <-> str digit limit (0: none) for the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
     try:
-        return parse(_load_json(path))
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _read_input(path: str, parse: Callable[[dict], T]) -> T:
+    """Load a JSON object from `path` and parse it; malformed content, and an
+    integer over _MAX_INPUT_DIGITS digits, raise InputError, which `main`
+    turns into exit code 2."""
+    try:
+        with _int_digits(_MAX_INPUT_DIGITS):
+            return parse(_load_json(path))
     except (KeyError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
@@ -189,6 +212,8 @@ def cmd_self_test(args) -> int:
     rng = random.Random(int(seed))
     failures = 0
     rounds = args.rounds
+    if rounds < 0:
+        raise InputError(f"--rounds must be >= 0, got {rounds}")
     for i in range(rounds):
         d = rng.randint(1, 3)
         f0 = random_tfree_poly(rng, d, 6)
@@ -244,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _int_digits(0):
+            return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,25 @@ def _laplacian_terms(
     return {e: c for e, c in out.items() if c}
 
 
+def _t_fibres(
+    terms: Mapping[tuple[int, ...], Fraction]
+) -> dict[tuple[int, ...], tuple[list[int], int]]:
+    """Group a term map by y-monomial: for each y-exponent tuple, the integer
+    numerators a_0..a_m of its t-coefficients (a_m != 0) over one common
+    denominator D, so that the coefficient of t^k is a_k / D."""
+    fibres: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
+    for exps, c in terms.items():
+        fibres.setdefault(exps[1:], []).append((exps[0], c))
+    out: dict[tuple[int, ...], tuple[list[int], int]] = {}
+    for rest, items in fibres.items():
+        den = math.lcm(*(c.denominator for _, c in items))
+        a = [0] * (max(k for k, _ in items) + 1)
+        for k, c in items:
+            a[k] = c.numerator * (den // c.denominator)
+        out[rest] = (a, den)
+    return out
+
+
 class MultiPoly:
     """Immutable sparse multivariate polynomial over the rationals."""
 
@@ -211,14 +230,23 @@ class MultiPoly:
         s = _frac(s)
         if s == 0:
             return self
+        p, q = s.numerator, s.denominator
         out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self._terms.items():
-            n = exps[0]
-            rest = exps[1:]
-            # (t+s)^n = sum_j C(n,j) s^(n-j) t^j
-            for j in range(n + 1):
-                e = (j,) + rest
-                out[e] = out.get(e, Fraction(0)) + c * math.comb(n, j) * s ** (n - j)
+        for rest, (a, den) in _t_fibres(self._terms).items():
+            # sum_k a_k (t + p/q)^k = q^-m sum_k a_k q^(m-k) (qt + p)^k: scale,
+            # then the integer Taylor shift by p (Horner's scheme)
+            m = len(a) - 1
+            qk = 1
+            for k in range(m, -1, -1):
+                a[k] *= qk
+                qk *= q
+            for i in range(m):
+                for j in range(m - 1, i - 1, -1):
+                    a[j] += p * a[j + 1]
+            for j in range(m, -1, -1):
+                if a[j]:
+                    out[(j,) + rest] = Fraction(a[j], den)
+                den *= q
         return MultiPoly(self.d, out)
 
     def negate_t(self) -> "MultiPoly":
@@ -236,10 +264,19 @@ class MultiPoly:
     def trace(self, t0: Scalar) -> "MultiPoly":
         """Restrict t = t0; the result has zero t-exponent everywhere."""
         t0 = _frac(t0)
+        if t0 == 0:
+            return MultiPoly(self.d, {e: c for e, c in self._terms.items() if not e[0]})
+        p, q = t0.numerator, t0.denominator
         out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self._terms.items():
-            e = (0,) + exps[1:]
-            out[e] = out.get(e, Fraction(0)) + c * t0 ** exps[0]
+        for rest, (a, den) in _t_fibres(self._terms).items():
+            # homogeneous Horner: v = sum_k a_k p^k q^(m-k)
+            v = a[-1]
+            qk = 1
+            for k in range(len(a) - 2, -1, -1):
+                qk *= q
+                v = v * p + a[k] * qk
+            if v:
+                out[(0,) + rest] = Fraction(v, den * qk)
         return MultiPoly(self.d, out)
 
     # -- evaluation ----------------------------------------------------------

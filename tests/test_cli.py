@@ -194,6 +194,15 @@ def test_self_test_seeded(monkeypatch, capsys):
     assert "6/6 checks passed" in capsys.readouterr().out
 
 
+def test_self_test_rounds(capsys):
+    assert main(["self-test", "--rounds", "0"]) == 0
+    assert "0/0 checks passed" in capsys.readouterr().out
+    assert main(["self-test", "--rounds", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_self_test_failure_prints_replayable_problem(monkeypatch, capsys, tmp_path):
     def failing(*args):
         return VerificationReport.from_residuals("forced", {"r": MultiPoly.constant(1, 1)})
@@ -212,3 +221,26 @@ def test_self_test_failure_prints_replayable_problem(monkeypatch, capsys, tmp_pa
         path = tmp_path / f"{kind}{i}.json"
         path.write_text(problem)
         assert main([f"solve-{kind}", "--input", str(path), "--quiet"]) == 0
+
+
+def test_coefficient_over_4300_digits_round_trips(tmp_path, capsys):
+    # Python refuses int <-> str past 4300 digits by default; the CLI reads up
+    # to 100,000 digits and writes any size.  The test itself stays on strings.
+    poly = {"d": 1, "terms": [{"coeff": "1" * 5000 + "/3", "exps": [0, 2]}]}
+    prob = {"a": "1/3", "b": "2", "d": 1, "f0": poly, "f1": {"d": 1, "terms": []}}
+    path, out = tmp_path / "prob.json", tmp_path / "sol.json"
+    path.write_text(json.dumps(prob))
+    assert main(["solve-slab", "--input", str(path), "--output", str(out), "--quiet"]) == 0
+    h = json.loads(out.read_text())["solution"]
+    assert max(len(term["coeff"]) for term in h["terms"]) > 5000
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps({"kind": "slab", "problem": prob, "h": h}))
+    assert main(["verify", "--input", str(bundle), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+    # over the bound: exit 2 with one error line, from the reader
+    poly["terms"][0]["coeff"] = "7" * 100_001
+    path.write_text(json.dumps(prob))
+    assert main(["solve-slab", "--input", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -1,5 +1,6 @@
 """Core polynomial arithmetic: worked examples plus algebraic property tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,63 @@ def test_eval_examples():
 def test_zero_degree_sentinel():
     assert MultiPoly.zero(2).total_degree() == -1
     assert MultiPoly.constant(2, 5).total_degree() == 0
+
+
+# -- the integer shift and trace against the binomial expansion --------------
+
+
+def _shift_reference(p, s):
+    """t <- t + s in Fraction arithmetic, term by term:
+    c t^n y^r -> sum_j c C(n,j) s^(n-j) t^j y^r."""
+    out = {}
+    for exps, c in p.terms.items():
+        n = exps[0]
+        for j in range(n + 1):
+            e = (j,) + exps[1:]
+            out[e] = out.get(e, 0) + c * math.comb(n, j) * s ** (n - j)
+    return MultiPoly(p.d, out)
+
+
+def _trace_reference(p, t0):
+    out = {}
+    for exps, c in p.terms.items():
+        e = (0,) + exps[1:]
+        out[e] = out.get(e, 0) + c * t0 ** exps[0]
+    return MultiPoly(p.d, out)
+
+
+@st.composite
+def t_heavy_poly(draw):
+    """d = 1..4, t-degree up to 40, terms spread over a few y-monomials, so
+    that each y-monomial carries several powers of t."""
+    d = draw(st.integers(1, 4))
+    rests = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=3))
+    exps = st.tuples(st.integers(0, 40), st.sampled_from(rests)).map(lambda e: (e[0],) + e[1])
+    coeff = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+    return MultiPoly(d, dict(draw(st.lists(st.tuples(exps, coeff), max_size=14))))
+
+
+shifts = st.one_of(
+    st.integers(-60, 60).map(F),
+    st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**4)),
+    st.just(F(0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_heavy_poly(), shifts)
+def test_shift_t_and_trace_match_binomial_expansion(p, s):
+    assert p.shift_t(s) == _shift_reference(p, s)
+    assert p.trace(s) == _trace_reference(p, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_heavy_poly(), shifts, st.lists(shifts, min_size=4, max_size=4))
+def test_shift_t_and_trace_identities(p, s, ys):
+    assert p.shift_t(s).shift_t(-s) == p
+    assert p.shift_t(s).trace(0) == p.trace(s)
+    y = ys[: p.d]
+    assert p.trace(s).eval_exact([0] + y) == p.eval_exact([s] + y)
 
 
 # -- algebraic properties ----------------------------------------------------

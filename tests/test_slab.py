@@ -1,5 +1,7 @@
 """Slab Dirichlet solver and the reflection/rigidity identity checks."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -180,3 +182,14 @@ def test_zero_data_rigidity():
     assert report.passed and report.elapsed > 0
     guard = zero_data_rigidity(t, 0, 1)  # trace at b=1 is 1 != 0
     assert guard.status == "not-applicable"
+
+
+def test_high_degree_slab_golden_digest():
+    # d = 1, y^200 at t = 1/3 and 0 at t = 2: a shift_t and traces of degree
+    # 200 in t.  sha256 of the canonical JSON of h, pinned from the
+    # Fraction-per-term shift_t and trace that the integer kernels replaced.
+    prob = SlabProblem(F(1, 3), F(2), 1, MultiPoly(1, {(0, 200): 1}), MultiPoly.zero(1))
+    h = solve_slab(prob)
+    assert verify_boundary(h, prob).passed
+    digest = hashlib.sha256(json.dumps(h.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "aee2f5518f47020d9541faaa56b78ba31a9afa3fe19d18767b76aee99cd0e386"
