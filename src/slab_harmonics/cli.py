@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -50,6 +51,8 @@ def _load_json(path: str) -> dict:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"cannot read {path}: JSON nested too deeply") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path}: top-level JSON value must be an object")
     return obj
@@ -76,12 +79,20 @@ def _read_input(path: str, parse: Callable[[dict], T]) -> T:
     try:
         with _int_digits(_MAX_INPUT_DIGITS):
             return parse(_load_json(path))
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"missing key {exc}") from exc
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # Python's int <-> str limit
+            raise InputError(
+                f"{path} holds an integer of more than {_MAX_INPUT_DIGITS:,} digits, "
+                "the bound for input files"
+            ) from exc
         raise InputError(str(exc)) from exc
 
 
 def _write_json(path: str | None, obj: dict, quiet: bool) -> None:
-    text = json.dumps(obj, indent=2)
+    # one line: json.dumps with indent runs CPython's pure-Python encoder
+    text = json.dumps(obj)
     if path:
         Path(path).write_text(text + "\n", encoding="utf-8")
     elif not quiet:
@@ -158,9 +169,12 @@ def cmd_oracle_compare(args) -> int:
 
 def _parse_grid(spec: str, d: int) -> list[list[float]]:
     """Parse "t=lo:hi:step,y1=lo:hi:step,..." into per-variable sample lists."""
+    parts = spec.split(",")
+    if len(parts) < d + 1:  # before listing the names, which may be too many
+        raise InputError(f"grid is missing variables: {len(parts)} given, {d + 1} needed")
     names = ["t"] + [f"y{j}" for j in range(1, d + 1)]
     axes: dict[str, list[float]] = {}
-    for part in spec.split(","):
+    for part in parts:
         try:
             name, rng = part.split("=")
             lo, hi, step = (float(v) for v in rng.split(":"))
@@ -192,7 +206,12 @@ def cmd_eval(args) -> int:
 
     def walk(prefix: list[float], remaining: list[list[float]]) -> None:
         if not remaining:
-            value = p.eval_float(prefix)
+            try:
+                value = p.eval_float(prefix)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise InputError(f"float evaluation at {prefix} overflows")
             lines.append(",".join(f"{v:.17g}" for v in prefix + [value]))
             return
         for x in remaining[0]:

@@ -144,12 +144,13 @@ def harmonic_part(p: ComplexPoly, which: str = "real") -> MultiPoly:
             re, im = c
             for _ in range(j % 4):
                 re, im = -im, re
+            # (n - j, j) determines n, so each key is written once
             key = (n - j, j)
             if re:
-                terms_re[key] = terms_re.get(key, Fraction(0)) + w * re
+                terms_re[key] = w * re
             if im:
-                terms_im[key] = terms_im.get(key, Fraction(0)) + w * im
-    result = MultiPoly(1, terms_re if which == "real" else terms_im)
+                terms_im[key] = w * im
+    result = MultiPoly._trusted(1, terms_re if which == "real" else terms_im)
     lap = result.laplacian()
     if not lap.is_zero:
         raise ArithmeticError(f"harmonic_part produced non-harmonic output: {lap}")

@@ -42,7 +42,7 @@ def _series(
             e = (n,) + exps[1:]
             out[e] = out.get(e, 0) + c * v
         term = _laplacian_terms(term, 1)
-    return MultiPoly(f.d, out)
+    return MultiPoly._trusted(f.d, {e: v for e, v in out.items() if v})
 
 
 def _length(f: MultiPoly) -> int:
@@ -109,6 +109,8 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     addend, so the exact residual check at the end is the contract.
     """
     _require_t_free(f, "poisson_solve input")
+    if f.is_zero:  # also spares building |y|^2 for a large d
+        return f
     d = f.d
     r2 = MultiPoly.zero(d)
     for j in range(1, d + 1):
@@ -122,7 +124,7 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
 
     result = MultiPoly.zero(d)
     for m, terms in components.items():
-        fm = MultiPoly(d, terms)
+        fm = MultiPoly._trusted(d, terms)
         coeff = Fraction(1, 2 * (2 * m + d))
         term = fm
         r2_pow = r2

@@ -28,15 +28,20 @@ def _laplacian_terms(
     terms: Mapping[tuple[int, ...], Fraction], first: int
 ) -> dict[tuple[int, ...], Fraction]:
     """Sum of second partials over variables first..d of a term map, in one
-    pass; the result has no zero coefficients."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    pass over the integer numerators on the common denominator D of the
+    input; one Fraction per nonzero output term, none for a zero result."""
+    if not terms:
+        return {}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    out: dict[tuple[int, ...], int] = {}
     for exps, c in terms.items():
+        a = c.numerator * (den // c.denominator)
         for var in range(first, len(exps)):
             n = exps[var]
             if n > 1:
                 e = exps[:var] + (n - 2,) + exps[var + 1 :]
-                out[e] = out.get(e, 0) + c * (n * (n - 1))
-    return {e: c for e, c in out.items() if c}
+                out[e] = out.get(e, 0) + a * (n * (n - 1))
+    return {e: Fraction(v, den) for e, v in out.items() if v}
 
 
 def _t_fibres(
@@ -81,6 +86,16 @@ class MultiPoly:
                     clean[exps] = c
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, d: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+        """Wrap a term map built by internal code, without the checks of
+        __init__: the caller guarantees tuple exponents of length d+1,
+        Fraction values, no zero coefficient, and hands over the dict."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "d", d)
+        object.__setattr__(p, "_terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -142,21 +157,31 @@ class MultiPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check_space(other)
-        out = dict(self._terms)
-        for exps, c in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return MultiPoly(self.d, out)
+        return self._plus(other, False)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._plus(other, True)
+
+    def _plus(self, other: "MultiPoly", negate: bool) -> "MultiPoly":
+        """self + other, or self - other if negate; cancelled terms are dropped."""
         self._check_space(other)
         out = dict(self._terms)
         for exps, c in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) - c
-        return MultiPoly(self.d, out)
+            if negate:
+                c = -c
+            v = out.get(exps)
+            if v is None:
+                out[exps] = c
+            else:
+                v += c
+                if v:
+                    out[exps] = v
+                else:
+                    del out[exps]
+        return MultiPoly._trusted(self.d, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.d, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._trusted(self.d, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -166,15 +191,18 @@ class MultiPoly:
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
-                out[exps] = out.get(exps, Fraction(0)) + ca * cb
-        return MultiPoly(self.d, out)
+                v = out.get(exps)
+                out[exps] = ca * cb if v is None else v + ca * cb
+        return MultiPoly._trusted(self.d, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other: Scalar) -> "MultiPoly":
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "MultiPoly":
         c = _frac(c)
-        return MultiPoly(self.d, {e: c * v for e, v in self._terms.items()})
+        if not c:
+            return MultiPoly._trusted(self.d, {})
+        return MultiPoly._trusted(self.d, {e: c * v for e, v in self._terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -205,15 +233,15 @@ class MultiPoly:
             e = list(exps)
             e[var] = n - 1
             out[tuple(e)] = c * n
-        return MultiPoly(self.d, out)
+        return MultiPoly._trusted(self.d, out)
 
     def laplacian(self) -> "MultiPoly":
         """Sum of second partials over all d+1 variables."""
-        return MultiPoly(self.d, _laplacian_terms(self._terms, 0))
+        return MultiPoly._trusted(self.d, _laplacian_terms(self._terms, 0))
 
     def laplacian_y(self) -> "MultiPoly":
         """Sum of second partials over the y-variables only."""
-        return MultiPoly(self.d, _laplacian_terms(self._terms, 1))
+        return MultiPoly._trusted(self.d, _laplacian_terms(self._terms, 1))
 
     def integrate_t(self) -> "MultiPoly":
         """Antiderivative in t vanishing at t = 0."""
@@ -221,7 +249,7 @@ class MultiPoly:
         for exps, c in self._terms.items():
             n = exps[0]
             out[(n + 1,) + exps[1:]] = c / (n + 1)
-        return MultiPoly(self.d, out)
+        return MultiPoly._trusted(self.d, out)
 
     # -- substitutions in t --------------------------------------------------
 
@@ -247,11 +275,11 @@ class MultiPoly:
                 if a[j]:
                     out[(j,) + rest] = Fraction(a[j], den)
                 den *= q
-        return MultiPoly(self.d, out)
+        return MultiPoly._trusted(self.d, out)
 
     def negate_t(self) -> "MultiPoly":
         """Substitute t <- -t (flips the sign of odd-in-t terms)."""
-        return MultiPoly(
+        return MultiPoly._trusted(
             self.d, {e: -c if e[0] % 2 else c for e, c in self._terms.items()}
         )
 
@@ -259,13 +287,13 @@ class MultiPoly:
         """Split into (even, odd) parts with respect to t at t0 = 0."""
         even = {e: c for e, c in self._terms.items() if e[0] % 2 == 0}
         odd = {e: c for e, c in self._terms.items() if e[0] % 2 == 1}
-        return MultiPoly(self.d, even), MultiPoly(self.d, odd)
+        return MultiPoly._trusted(self.d, even), MultiPoly._trusted(self.d, odd)
 
     def trace(self, t0: Scalar) -> "MultiPoly":
         """Restrict t = t0; the result has zero t-exponent everywhere."""
         t0 = _frac(t0)
         if t0 == 0:
-            return MultiPoly(self.d, {e: c for e, c in self._terms.items() if not e[0]})
+            return MultiPoly._trusted(self.d, {e: c for e, c in self._terms.items() if not e[0]})
         p, q = t0.numerator, t0.denominator
         out: dict[tuple[int, ...], Fraction] = {}
         for rest, (a, den) in _t_fibres(self._terms).items():
@@ -277,7 +305,7 @@ class MultiPoly:
                 v = v * p + a[k] * qk
             if v:
                 out[(0,) + rest] = Fraction(v, den * qk)
-        return MultiPoly(self.d, out)
+        return MultiPoly._trusted(self.d, out)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -285,15 +313,26 @@ class MultiPoly:
         """Exact evaluation at a rational point of length d+1."""
         if len(point) != self.d + 1:
             raise ValueError(f"point has length {len(point)}, expected {self.d + 1}")
-        pt = [_frac(x) for x in point]
-        total = Fraction(0)
+        if not self._terms:
+            return Fraction(0)
+        # in integers: with x_i = p_i/q_i, D_i the degree in x_i and L the
+        # common denominator of the coefficients, the value is
+        # sum_e (L c_e) prod_i p_i^e_i q_i^(D_i - e_i) over L prod_i q_i^D_i
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        tables = []
+        scale = 1
+        for var, x in enumerate(point):
+            x = _frac(x)
+            top = max(e[var] for e in self._terms)
+            tables.append([x.numerator**k * x.denominator ** (top - k) for k in range(top + 1)])
+            scale *= x.denominator**top
+        total = 0
         for exps, c in self._terms.items():
-            v = c
-            for x, e in zip(pt, exps):
-                if e:
-                    v *= x**e
+            v = c.numerator * (den // c.denominator)
+            for table, e in zip(tables, exps):
+                v *= table[e]
             total += v
-        return total
+        return Fraction(total, den * scale)
 
     def eval_float(self, point: Sequence[float]) -> float:
         """Float evaluation; convenient for sampling, not authoritative."""
@@ -340,7 +379,8 @@ class MultiPoly:
                 raise ValueError(f"exponents must be a list of integers: {exps!r}")
             coeff = _json_rational(item["coeff"])
             exps = tuple(exps)
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            old = terms.get(exps)
+            terms[exps] = coeff if old is None else old + coeff
         return cls(d, terms)
 
     # -- display ---------------------------------------------------------------

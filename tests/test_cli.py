@@ -244,3 +244,69 @@ def test_coefficient_over_4300_digits_round_trips(tmp_path, capsys):
     assert main(["solve-slab", "--input", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_integer_over_the_digit_bound_exits_2_in_one_line(tmp_path, capsys):
+    # a numerator over the bound, and a JSON integer over it in the exponents
+    big = "7" * 100_001
+    f0 = {"d": 1, "terms": [{"coeff": big, "exps": [0, 1]}]}
+    texts = [
+        json.dumps({"a": "0", "b": "1", "d": 1, "f0": f0, "f1": {"d": 1, "terms": []}}),
+        '{"a": "0", "b": "1", "d": 1, "f1": {"d": 1, "terms": []}, '
+        '"f0": {"d": 1, "terms": [{"coeff": "1", "exps": [0, ' + big + "]}]}}",
+    ]
+    path = tmp_path / "prob.json"
+    for text in texts:
+        path.write_text(text)
+        assert main(["solve-slab", "--input", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "100,000 digits" in err
+        assert "set_int_max_str_digits" not in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["solve-slab", "--input", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_eval_out_of_float_range_exits_2(tmp_path, capsys):
+    # a coefficient too large for a float, and a power that overflows
+    polys = [
+        {"d": 1, "terms": [{"coeff": "1" + "0" * 400, "exps": [0, 1]}]},
+        {"d": 1, "terms": [{"coeff": "1", "exps": [2000, 0]}]},
+        # each coefficient fits a float, their sum at y1 = 1 does not
+        {"d": 1, "terms": [{"coeff": "9" * 308, "exps": [0, 0]}, {"coeff": "9" * 308, "exps": [0, 1]}]},
+    ]
+    path = tmp_path / "poly.json"
+    for poly in polys:
+        path.write_text(json.dumps(poly))
+        assert main(["eval", "--input", str(path), "--grid", "t=0:2:1,y1=0:1:1", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+def test_eval_grid_check_does_not_list_a_huge_dimension(tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"d": 10**30, "terms": []}))
+    assert main(["eval", "--input", str(path), "--grid", "t=0:1:1,y1=0:1:1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid is missing variables") and len(err.splitlines()) == 1
+
+
+def test_solve_diffeq_zero_rhs_in_a_huge_dimension(tmp_path, capsys):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"d": 10**30, "g": {"d": 10**30, "terms": []}}))
+    assert main(["solve-diffeq", "--input", str(path), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_writers_emit_one_line(tmp_path):
+    out = tmp_path / "solution.json"
+    assert main(["solve-slab", "--input", fixture("slab_basic.json"), "--output", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert json.loads(text)["report"]["status"] == "pass"

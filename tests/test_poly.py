@@ -8,6 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slab_harmonics import MultiPoly, variables
+from slab_harmonics.complex_oracle import ComplexPoly, harmonic_part
+from slab_harmonics.laplace import (
+    even_ck_extension,
+    invert_trace_operator,
+    odd_ck_extension,
+    poisson_solve,
+    trace_operator,
+)
+from slab_harmonics.poly import _laplacian_terms
 
 F = Fraction
 
@@ -269,3 +278,131 @@ def test_json_reader_accepts_any_term_order():
     # writer emits canonical graded-lex order, leading term first
     exps = [tuple(item["exps"]) for item in p.to_json_dict()["terms"]]
     assert exps == [(3, 0), (0, 2)]
+
+
+# -- the trusted constructor and the integer Laplacian -------------------------
+
+
+def _assert_canonical(r):
+    """r holds what the public constructor would make of its own terms:
+    tuple exponents of length d+1, Fraction values, no zero coefficient."""
+    assert isinstance(r, MultiPoly)
+    for exps, c in r._terms.items():
+        assert type(exps) is tuple and len(exps) == r.d + 1
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+    assert r == MultiPoly(r.d, r.terms)
+
+
+@st.composite
+def kernel_case(draw):
+    d = draw(st.integers(1, 4))
+    p, q = draw(poly_st(d)), draw(poly_st(d))
+    f = draw(poly_st(d)).trace(0)
+    g = draw(poly_st(d)).trace(0)
+    s = draw(shifts)
+    return p, q, f, g, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_case())
+def test_internal_results_are_canonical(case):
+    p, q, f, g, s = case
+    d = p.d
+    zero = MultiPoly.zero(d)
+    harmonic = even_ck_extension(f) + odd_ck_extension(g)
+    c = s if s else F(1, 2)
+    results = [
+        p + q, p - q, p - p, p + (-p), -p, p * q, (p + q) * (p - q), p * zero, zero * p, p * 0,
+        p.scale(s), p.scale(0), p.integrate_t(), p.shift_t(s), p.negate_t(),
+        *p.parity_split_t(), p.trace(s), p.trace(0), p.laplacian(), p.laplacian_y(),
+        *(p.derivative(var) for var in range(d + 1)),
+        harmonic, harmonic.laplacian(), even_ck_extension(f), odd_ck_extension(g),
+        trace_operator(c, f), trace_operator(0, f), invert_trace_operator(c, f),
+        poisson_solve(f),
+    ]
+    assert harmonic.laplacian().is_zero and (p - p).is_zero and p.scale(0).is_zero
+    for r in results:
+        _assert_canonical(r)
+    if d == 1:
+        for which in ("real", "imaginary"):
+            _assert_canonical(harmonic_part(ComplexPoly([(F(1, 3), F(-2)), (F(0), F(5, 7)), (s, F(1))]), which))
+
+
+def _laplacian_reference(terms, first):
+    out = {}
+    for exps, c in terms.items():
+        for var in range(first, len(exps)):
+            n = exps[var]
+            if n > 1:
+                e = exps[:var] + (n - 2,) + exps[var + 1 :]
+                out[e] = out.get(e, Fraction(0)) + c * n * (n - 1)
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def big_denominator_poly(draw):
+    d = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 5) for _ in range(d + 1)])
+    primes = st.sampled_from([1, 2, 3, 7, 2**61 - 1, 10**9 + 7, 998244353])
+    coeff = st.builds(
+        lambda n, ps: F(n, math.prod(ps)),
+        st.integers(-(10**40), 10**40).filter(bool),
+        st.lists(primes, max_size=4),
+    )
+    return MultiPoly(d, dict(draw(st.lists(st.tuples(exps, coeff), max_size=12))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_denominator_poly())
+def test_integer_laplacian_matches_fraction_reference(p):
+    for first in (0, 1):
+        got = _laplacian_terms(p._terms, first)
+        assert got == _laplacian_reference(p._terms, first)
+        assert all(type(c) is Fraction and c for c in got.values())
+    # cancellation to zero: t^2 y^2 - (t^4 + y^4)/6 is harmonic at every d
+    d = p.d
+    h = MultiPoly(d, {(2, 2) + (0,) * (d - 1): 1, (4,) + (0,) * d: F(-1, 6), (0, 4) + (0,) * (d - 1): F(-1, 6)})
+    assert _laplacian_terms(h._terms, 0) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 1)] * (d + 1)), st.fractions(max_denominator=5)),
+            max_size=10,
+        ).map(lambda items: (d, items))
+    )
+)
+def test_json_reader_sums_repeated_exponents(case):
+    d, items = case
+    obj = {"d": d, "terms": [{"coeff": str(c), "exps": list(e)} for e, c in items]}
+    expected = {}
+    for e, c in items:
+        expected[e] = expected.get(e, Fraction(0)) + c
+    p = MultiPoly.from_json_dict(obj)
+    assert p._terms == {e: c for e, c in expected.items() if c}
+    _assert_canonical(p)
+
+
+def test_json_reader_drops_a_term_that_cancels():
+    obj = {"d": 1, "terms": [
+        {"coeff": "1/2", "exps": [1, 0]}, {"coeff": "3", "exps": [0, 1]}, {"coeff": "-1/2", "exps": [1, 0]},
+    ]}
+    assert MultiPoly.from_json_dict(obj)._terms == {(0, 1): F(3)}
+
+
+def test_public_constructor_still_validates():
+    for bad in [
+        lambda: MultiPoly(0),
+        lambda: MultiPoly(-1, {}),
+        lambda: MultiPoly(1, {(1,): 1}),
+        lambda: MultiPoly(1, {(1, 0, 0): 1}),
+        lambda: MultiPoly(2, {(0, -1, 0): 1}),
+    ]:
+        with pytest.raises(ValueError):
+            bad()
+    p = MultiPoly(1, {(0, 1): 0, (1, 0): "2/4", (2, 0): 3})
+    assert p._terms == {(1, 0): F(1, 2), (2, 0): F(3)}
+    _assert_canonical(p)
