@@ -150,7 +150,7 @@ def harmonic_part(p: ComplexPoly, which: str = "real") -> MultiPoly:
                 terms_re[key] = w * re
             if im:
                 terms_im[key] = w * im
-    result = MultiPoly._trusted(1, terms_re if which == "real" else terms_im)
+    result = MultiPoly(1, terms_re if which == "real" else terms_im)
     lap = result.laplacian()
     if not lap.is_zero:
         raise ArithmeticError(f"harmonic_part produced non-harmonic output: {lap}")

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import MultiPoly, Scalar, _frac, _laplacian_terms
+from .poly import MultiPoly, Scalar, _frac, _laplacian_num
 
 
 def _require_t_free(p: MultiPoly, what: str) -> None:
@@ -30,42 +30,64 @@ def _require_t_free(p: MultiPoly, what: str) -> None:
 
 
 def _series(
-    f: MultiPoly, coeffs: Sequence[Fraction], t_exp: int = 0, t_step: int = 0
+    f: MultiPoly, coeffs: Sequence[int], den: int, t_exp: int = 0, t_step: int = 0
 ) -> MultiPoly:
-    """sum_k coeffs[k] t^(t_exp + k t_step) Lap_y^k f for t-free f, walking
-    the chain Lap_y^k f once; the defaults give a t-free result."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    term = f.terms  # Lap_y^k f
-    for k, c in enumerate(coeffs):
+    """sum_k (coeffs[k] / den) t^(t_exp + k t_step) Lap_y^k f for t-free f
+    and den > 0, walking the chain Lap_y^k f once over the numerators of f:
+    its factors are integers, so the whole sum is one integer map over den
+    times the denominator of f.  The gcd of that denominator with every
+    coeffs[k] times the content of Lap_y^k f is divided out before the
+    products are formed, so a denominator full of factorials is never
+    multiplied in and scanned out term by term.  The defaults give a
+    t-free result."""
+    term, f_den = f.as_integer_ratio()
+    chain = []  # (coefficient, content, numerators) of each Lap_y^k f
+    for c in coeffs:
+        chain.append((c, math.gcd(*term.values()), term))
+        term = _laplacian_num(term, 1)
+    den *= f_den
+    common = math.gcd(den, *(c * content for c, content, _ in chain))
+    out: dict[tuple[int, ...], int] = {}
+    for k, (c, content, term) in enumerate(chain):
+        if not content:  # Lap_y^k f = 0, and so are the later powers
+            break
+        m = c * content // common
         n = t_exp + k * t_step
         for exps, v in term.items():
             e = (n,) + exps[1:]
-            out[e] = out.get(e, 0) + c * v
-        term = _laplacian_terms(term, 1)
-    return MultiPoly._trusted(f.d, {e: v for e, v in out.items() if v})
+            out[e] = out.get(e, 0) + m * (v // content)
+    return MultiPoly._reduced(f.d, {e: v for e, v in out.items() if v}, den // common)
 
 
 def _length(f: MultiPoly) -> int:
-    """Number of Lap_y powers of f that can be nonzero."""
-    return f.total_degree() // 2 + 1
+    """Number of Lap_y powers of f that can be nonzero (1 for zero f)."""
+    return max(f.total_degree(), 0) // 2 + 1
 
 
-def _sin_coeffs(n: int) -> list[Fraction]:
-    """s_k = (-1)^k / (2k+1)!, k < n: sin(x)/x in powers of u = x^2."""
-    return [Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(n)]
+def _alternating_factorials(n: int, first: int) -> list[int]:
+    """(-1)^k N / (2k + first)! for k < n and first in (0, 1), with
+    N = (2n - 2 + first)! the k = 0 entry: the series of
+    (-1)^k / (2k + first)! over one denominator."""
+    out = [0] * n
+    c = 1
+    for k in range(n - 1, -1, -1):
+        out[k] = -c if k % 2 else c
+        c *= (2 * k + first) * (2 * k + first - 1)
+    return out
 
 
 def even_ck_extension(f: MultiPoly) -> MultiPoly:
     """Harmonic H with H(0,y) = f(y) and dH/dt(0,y) = 0; even in t."""
     _require_t_free(f, "even_ck_extension input")
-    coeffs = [Fraction((-1) ** k, math.factorial(2 * k)) for k in range(_length(f))]
-    return _series(f, coeffs, 0, 2)
+    coeffs = _alternating_factorials(_length(f), 0)
+    return _series(f, coeffs, coeffs[0], 0, 2)
 
 
 def odd_ck_extension(g: MultiPoly) -> MultiPoly:
     """Harmonic V with V(0,y) = 0 and dV/dt(0,y) = g(y); odd in t."""
     _require_t_free(g, "odd_ck_extension input")
-    return _series(g, _sin_coeffs(_length(g)), 1, 2)
+    coeffs = _alternating_factorials(_length(g), 1)
+    return _series(g, coeffs, coeffs[0], 1, 2)
 
 
 def trace_operator(c: Scalar, g: MultiPoly) -> MultiPoly:
@@ -75,8 +97,12 @@ def trace_operator(c: Scalar, g: MultiPoly) -> MultiPoly:
     """
     _require_t_free(g, "trace_operator input")
     c = _frac(c)
-    coeffs = [s * c ** (2 * k + 1) for k, s in enumerate(_sin_coeffs(_length(g)))]
-    return _series(g, coeffs)
+    p, q = c.numerator, c.denominator
+    n = _length(g)
+    s = _alternating_factorials(n, 1)
+    # over s_0 q^(2n-1): s_k p^(2k+1) q^(2n-2-2k)
+    coeffs = [s_k * p ** (2 * k + 1) * q ** (2 * (n - 1 - k)) for k, s_k in enumerate(s)]
+    return _series(g, coeffs, s[0] * q ** (2 * n - 1))
 
 
 def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:
@@ -84,17 +110,28 @@ def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:
 
     L_c = c S(c^2 Lap_y) with S(u) = sum_j s_j u^j the series of sin(x)/x in
     u = x^2, so g = (1/c) A(c^2 Lap_y) p with A = 1/S, the series of x/sin x:
-    A_0 = 1, A_k = -sum_{j=1..k} s_j A_(k-j).
+    A_0 = 1, A_k = -sum_{j=1..k} s_j A_(k-j).  A_k is
+    (-1)^(k+1) (2^(2k) - 2) B_2k / (2k)!, and by von Staudt-Clausen the
+    denominator of B_2k divides (2k+1)!, so E A_k is an integer for
+    E = (2n-2)! (2n-1)! and every k < n: the recurrence runs in integers.
     """
     _require_t_free(p, "invert_trace_operator input")
     c = _frac(c)
     if c == 0:
         raise ValueError("trace operator height c must be nonzero")
-    s = _sin_coeffs(_length(p))
-    a = [Fraction(1)]
-    for k in range(1, len(s)):
-        a.append(-sum(s[j] * a[k - j] for j in range(1, k + 1)))
-    return _series(p, [a_k * c ** (2 * k - 1) for k, a_k in enumerate(a)])
+    n = _length(p)
+    s = _alternating_factorials(n, 1)  # s_k / s_0 = (-1)^k / (2k+1)!
+    a = [math.factorial(2 * n - 2) * s[0]]  # E A_k
+    for k in range(1, n):
+        a.append(-sum(s[j] * a[k - j] for j in range(1, k + 1)) // s[0])
+    common = math.gcd(*a)
+    a = [a_k // common for a_k in a]
+    # (1/c) A_k c^(2k) with c = u/v: over a_0 |u| v^(2n-2), the numerators
+    # sign(u) a_k u^(2k) v^(2n-1-2k)
+    u, v = c.numerator, c.denominator
+    sign = 1 if u > 0 else -1
+    coeffs = [sign * a_k * u ** (2 * k) * v ** (2 * n - 1 - 2 * k) for k, a_k in enumerate(a)]
+    return _series(p, coeffs, a[0] * abs(u) * v ** (2 * n - 2))
 
 
 def poisson_solve(f: MultiPoly) -> MultiPoly:
@@ -118,13 +155,14 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
         r2 = r2 + yj * yj
 
     # split into homogeneous components by total degree
+    num, den = f.as_integer_ratio()
     components: dict[int, dict] = {}
-    for exps, coeff in f.terms.items():
-        components.setdefault(sum(exps), {})[exps] = coeff
+    for exps, v in num.items():
+        components.setdefault(sum(exps), {})[exps] = v
 
     result = MultiPoly.zero(d)
     for m, terms in components.items():
-        fm = MultiPoly._trusted(d, terms)
+        fm = MultiPoly._reduced(d, terms, den)
         coeff = Fraction(1, 2 * (2 * m + d))
         term = fm
         r2_pow = r2

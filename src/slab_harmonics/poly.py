@@ -1,100 +1,142 @@
 """Exact sparse polynomial arithmetic in the variables (t, y1, ..., yd).
 
-Coefficients are `fractions.Fraction`, so every operation is exact and
-polynomial identities can be checked by literal equality.  Variable index 0
-is always t, the distinguished reflection/shift variable; indices 1..d are
-the y-variables.
+Variable index 0 is always t, the distinguished reflection/shift variable;
+indices 1..d are the y-variables.
 
-Terms live in a dict mapping exponent tuples (length d+1) to nonzero
-coefficients.  The zero polynomial has an empty term map and, by convention,
-total degree -1.  The canonical serialized term order is graded
-lexicographic (leading term first), with t ordered before y1 < ... < yd.
+A polynomial is stored as FLINT's fmpq_poly stores one: integer numerators
+over one positive common denominator.  The numerators live in a dict mapping
+exponent tuples (length d+1) to nonzero integers, and the form is canonical:
+the denominator is coprime to the content of the numerators, and it is 1 for
+the zero polynomial (the empty map, of total degree -1 by convention).  So
+every operation is integer arithmetic, equal polynomials are stored equally,
+and polynomial identities are checked by literal equality.  `Fraction`s
+appear only at the edges: scalar arguments, the `terms` view and the value of
+`eval_exact`.  The canonical serialized term order is graded lexicographic
+(leading term first), with t ordered before y1 < ... < yd.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from collections.abc import Mapping, Sequence
+from typing import Union
 
 Scalar = Union[Fraction, int, str]
+
+Numerators = dict[tuple[int, ...], int]
 
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _laplacian_terms(
-    terms: Mapping[tuple[int, ...], Fraction], first: int
-) -> dict[tuple[int, ...], Fraction]:
-    """Sum of second partials over variables first..d of a term map, in one
-    pass over the integer numerators on the common denominator D of the
-    input; one Fraction per nonzero output term, none for a zero result."""
-    if not terms:
-        return {}
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    out: dict[tuple[int, ...], int] = {}
-    for exps, c in terms.items():
-        a = c.numerator * (den // c.denominator)
+def _reduce(num: Numerators, den: int) -> tuple[Numerators, int]:
+    """The canonical form of nonzero numerators over den > 0: divide out
+    gcd(den, content), found by one gcd scan that stops at 1."""
+    if not num:
+        return num, 1
+    g = den
+    for v in num.values():
+        if g == 1:
+            return num, den
+        g = math.gcd(g, v)
+    if g != 1:
+        num = {e: v // g for e, v in num.items()}
+        den //= g
+    return num, den
+
+
+def _over_one_denominator(
+    items: list[tuple[tuple[int, ...], int, int]]
+) -> tuple[Numerators, int]:
+    """Sum the terms p/q x^exps of (exps, p, q) items, q > 0, into nonzero
+    numerators over the lcm of the q, keeping first-appearance order."""
+    den = math.lcm(*{q for _, _, q in items})
+    num: Numerators = {}
+    for exps, p, q in items:
+        num[exps] = num.get(exps, 0) + p * (den // q)
+    return {e: v for e, v in num.items() if v}, den
+
+
+def _check_exps(d: int, exps: tuple[int, ...]) -> None:
+    if len(exps) != d + 1:
+        raise ValueError(f"exponent vector {exps} has length {len(exps)}, expected {d + 1}")
+    if min(exps) < 0:
+        raise ValueError(f"negative exponent in {exps}")
+
+
+def _check_dim(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
+
+
+def _laplacian_num(num: Numerators, first: int) -> Numerators:
+    """Sum of second partials over variables first..d, on numerators: the
+    factors n(n-1) are integers, so the denominator does not change."""
+    out: Numerators = {}
+    for exps, a in num.items():
         for var in range(first, len(exps)):
             n = exps[var]
             if n > 1:
                 e = exps[:var] + (n - 2,) + exps[var + 1 :]
                 out[e] = out.get(e, 0) + a * (n * (n - 1))
-    return {e: Fraction(v, den) for e, v in out.items() if v}
+    return {e: v for e, v in out.items() if v}
 
 
-def _t_fibres(
-    terms: Mapping[tuple[int, ...], Fraction]
-) -> dict[tuple[int, ...], tuple[list[int], int]]:
-    """Group a term map by y-monomial: for each y-exponent tuple, the integer
-    numerators a_0..a_m of its t-coefficients (a_m != 0) over one common
-    denominator D, so that the coefficient of t^k is a_k / D."""
-    fibres: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
-    for exps, c in terms.items():
-        fibres.setdefault(exps[1:], []).append((exps[0], c))
-    out: dict[tuple[int, ...], tuple[list[int], int]] = {}
+def _t_fibres(num: Numerators) -> dict[tuple[int, ...], list[int]]:
+    """Group numerators by y-monomial: for each y-exponent tuple, the
+    numerators a_0..a_m of its t-coefficients (a_m != 0)."""
+    fibres: dict[tuple[int, ...], dict[int, int]] = {}
+    for exps, v in num.items():
+        fibres.setdefault(exps[1:], {})[exps[0]] = v
+    out: dict[tuple[int, ...], list[int]] = {}
     for rest, items in fibres.items():
-        den = math.lcm(*(c.denominator for _, c in items))
-        a = [0] * (max(k for k, _ in items) + 1)
-        for k, c in items:
-            a[k] = c.numerator * (den // c.denominator)
-        out[rest] = (a, den)
+        a = [0] * (max(items) + 1)
+        for k, v in items.items():
+            a[k] = v
+        out[rest] = a
     return out
+
+
+def _ratio_str(v: int, den: int) -> str:
+    """str(Fraction(v, den)) for den > 0, without building the Fraction."""
+    if den == 1:
+        return str(v)
+    g = math.gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
 
 
 class MultiPoly:
     """Immutable sparse multivariate polynomial over the rationals."""
 
-    __slots__ = ("d", "_terms")
+    __slots__ = ("d", "_num", "_den")
 
     def __init__(self, d: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        if d < 1:
-            raise ValueError(f"dimension d must be >= 1, got {d}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        _check_dim(d)
+        items = []
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != d + 1:
-                    raise ValueError(
-                        f"exponent vector {exps} has length {len(exps)}, expected {d + 1}"
-                    )
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
+                _check_exps(d, exps)
                 c = _frac(coeff)
-                if c:
-                    clean[exps] = c
+                items.append((exps, c.numerator, c.denominator))
+        num, den = _reduce(*_over_one_denominator(items))
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _trusted(cls, d: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
-        """Wrap a term map built by internal code, without the checks of
+    def _reduced(cls, d: int, num: Numerators, den: int) -> "MultiPoly":
+        """Wrap numerators built by internal code, without the checks of
         __init__: the caller guarantees tuple exponents of length d+1,
-        Fraction values, no zero coefficient, and hands over the dict."""
+        nonzero integer values and den > 0, and hands over the dict.  The
+        result is put in canonical form."""
+        num, den = _reduce(num, den)
         p = object.__new__(cls)
         object.__setattr__(p, "d", d)
-        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_num", num)
+        object.__setattr__(p, "_den", den)
         return p
 
     def __setattr__(self, name, value):
@@ -123,28 +165,34 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self._terms)
+        return {e: Fraction(v, self._den) for e, v in self._num.items()}
+
+    def as_integer_ratio(self) -> tuple[Numerators, int]:
+        """The canonical pair (numerators, denominator): a copy of the
+        exponent -> nonzero integer map and the positive denominator coprime
+        to its content (1 for the zero polynomial)."""
+        return dict(self._num), self._den
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e in self._num)
 
     def degree_in(self, var: int) -> int:
         """Degree in a single variable; -1 for the zero polynomial."""
         self._check_var(var)
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(e[var] for e in self._terms)
+        return max(e[var] for e in self._num)
 
     @property
     def is_t_free(self) -> bool:
-        return all(e[0] == 0 for e in self._terms)
+        return all(e[0] == 0 for e in self._num)
 
     def _check_var(self, var: int) -> None:
         if not 0 <= var <= self.d:
@@ -165,44 +213,51 @@ class MultiPoly:
     def _plus(self, other: "MultiPoly", negate: bool) -> "MultiPoly":
         """self + other, or self - other if negate; cancelled terms are dropped."""
         self._check_space(other)
-        out = dict(self._terms)
-        for exps, c in other._terms.items():
-            if negate:
-                c = -c
-            v = out.get(exps)
-            if v is None:
-                out[exps] = c
+        den = math.lcm(self._den, other._den)
+        ma, mb = den // self._den, den // other._den
+        out = dict(self._num) if ma == 1 else {e: v * ma for e, v in self._num.items()}
+        if negate:
+            mb = -mb
+        for exps, v in other._num.items():
+            v *= mb
+            w = out.get(exps)
+            if w is None:
+                out[exps] = v
             else:
-                v += c
-                if v:
-                    out[exps] = v
+                w += v
+                if w:
+                    out[exps] = w
                 else:
                     del out[exps]
-        return MultiPoly._trusted(self.d, out)
+        return MultiPoly._reduced(self.d, out, den)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._trusted(self.d, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._reduced(self.d, {e: -v for e, v in self._num.items()}, self._den)
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_space(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
+        out: Numerators = {}
+        for ea, va in self._num.items():
+            for eb, vb in other._num.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(exps)
-                out[exps] = ca * cb if v is None else v + ca * cb
-        return MultiPoly._trusted(self.d, {e: c for e, c in out.items() if c})
+                out[exps] = out.get(exps, 0) + va * vb
+        return MultiPoly._reduced(
+            self.d, {e: v for e, v in out.items() if v}, self._den * other._den
+        )
 
     def __rmul__(self, other: Scalar) -> "MultiPoly":
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "MultiPoly":
         c = _frac(c)
-        if not c:
-            return MultiPoly._trusted(self.d, {})
-        return MultiPoly._trusted(self.d, {e: c * v for e, v in self._terms.items()})
+        p = c.numerator
+        if not p:
+            return MultiPoly._reduced(self.d, {}, 1)
+        return MultiPoly._reduced(
+            self.d, {e: v * p for e, v in self._num.items()}, self._den * c.denominator
+        )
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -215,52 +270,46 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.d == other.d and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.d, frozenset(self._terms.items())))
+        return self.d == other.d and self._den == other._den and self._num == other._num
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, var: int) -> "MultiPoly":
         """Exact partial derivative with respect to variable `var`."""
         self._check_var(var)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self._terms.items():
+        out: Numerators = {}
+        for exps, v in self._num.items():
             n = exps[var]
-            if n == 0:
-                continue
-            e = list(exps)
-            e[var] = n - 1
-            out[tuple(e)] = c * n
-        return MultiPoly._trusted(self.d, out)
+            if n:
+                out[exps[:var] + (n - 1,) + exps[var + 1 :]] = v * n
+        return MultiPoly._reduced(self.d, out, self._den)
 
     def laplacian(self) -> "MultiPoly":
         """Sum of second partials over all d+1 variables."""
-        return MultiPoly._trusted(self.d, _laplacian_terms(self._terms, 0))
+        return MultiPoly._reduced(self.d, _laplacian_num(self._num, 0), self._den)
 
     def laplacian_y(self) -> "MultiPoly":
         """Sum of second partials over the y-variables only."""
-        return MultiPoly._trusted(self.d, _laplacian_terms(self._terms, 1))
+        return MultiPoly._reduced(self.d, _laplacian_num(self._num, 1), self._den)
 
     def integrate_t(self) -> "MultiPoly":
         """Antiderivative in t vanishing at t = 0."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self._terms.items():
-            n = exps[0]
-            out[(n + 1,) + exps[1:]] = c / (n + 1)
-        return MultiPoly._trusted(self.d, out)
+        m = math.lcm(*{e[0] + 1 for e in self._num})
+        out = {(e[0] + 1,) + e[1:]: v * (m // (e[0] + 1)) for e, v in self._num.items()}
+        return MultiPoly._reduced(self.d, out, self._den * m)
 
     # -- substitutions in t --------------------------------------------------
 
     def shift_t(self, s: Scalar) -> "MultiPoly":
         """Substitute t <- t + s, expanded exactly by the binomial theorem."""
         s = _frac(s)
-        if s == 0:
+        if s == 0 or not self._num:
             return self
         p, q = s.numerator, s.denominator
-        out: dict[tuple[int, ...], Fraction] = {}
-        for rest, (a, den) in _t_fibres(self._terms).items():
+        fibres = _t_fibres(self._num)
+        top = max(len(a) for a in fibres.values()) - 1
+        out: Numerators = {}
+        for rest, a in fibres.items():
             # sum_k a_k (t + p/q)^k = q^-m sum_k a_k q^(m-k) (qt + p)^k: scale,
             # then the integer Taylor shift by p (Horner's scheme)
             m = len(a) - 1
@@ -271,41 +320,52 @@ class MultiPoly:
             for i in range(m):
                 for j in range(m - 1, i - 1, -1):
                     a[j] += p * a[j + 1]
-            for j in range(m, -1, -1):
+            # t^j now has a_j q^j over q^m; bring every term to q^top
+            qj = q ** (top - m)
+            for j in range(m + 1):
                 if a[j]:
-                    out[(j,) + rest] = Fraction(a[j], den)
-                den *= q
-        return MultiPoly._trusted(self.d, out)
+                    out[(j,) + rest] = a[j] * qj
+                qj *= q
+        return MultiPoly._reduced(self.d, out, self._den * q**top)
 
     def negate_t(self) -> "MultiPoly":
         """Substitute t <- -t (flips the sign of odd-in-t terms)."""
-        return MultiPoly._trusted(
-            self.d, {e: -c if e[0] % 2 else c for e, c in self._terms.items()}
+        return MultiPoly._reduced(
+            self.d, {e: -v if e[0] % 2 else v for e, v in self._num.items()}, self._den
         )
 
     def parity_split_t(self) -> tuple["MultiPoly", "MultiPoly"]:
         """Split into (even, odd) parts with respect to t at t0 = 0."""
-        even = {e: c for e, c in self._terms.items() if e[0] % 2 == 0}
-        odd = {e: c for e, c in self._terms.items() if e[0] % 2 == 1}
-        return MultiPoly._trusted(self.d, even), MultiPoly._trusted(self.d, odd)
+        even = {e: v for e, v in self._num.items() if e[0] % 2 == 0}
+        odd = {e: v for e, v in self._num.items() if e[0] % 2 == 1}
+        return (
+            MultiPoly._reduced(self.d, even, self._den),
+            MultiPoly._reduced(self.d, odd, self._den),
+        )
 
     def trace(self, t0: Scalar) -> "MultiPoly":
         """Restrict t = t0; the result has zero t-exponent everywhere."""
         t0 = _frac(t0)
         if t0 == 0:
-            return MultiPoly._trusted(self.d, {e: c for e, c in self._terms.items() if not e[0]})
+            return MultiPoly._reduced(
+                self.d, {e: v for e, v in self._num.items() if not e[0]}, self._den
+            )
+        if not self._num:
+            return self
         p, q = t0.numerator, t0.denominator
-        out: dict[tuple[int, ...], Fraction] = {}
-        for rest, (a, den) in _t_fibres(self._terms).items():
-            # homogeneous Horner: v = sum_k a_k p^k q^(m-k)
+        fibres = _t_fibres(self._num)
+        top = max(len(a) for a in fibres.values()) - 1
+        out: Numerators = {}
+        for rest, a in fibres.items():
+            # homogeneous Horner: v = sum_k a_k p^k q^(m-k), over q^m
             v = a[-1]
             qk = 1
             for k in range(len(a) - 2, -1, -1):
                 qk *= q
                 v = v * p + a[k] * qk
             if v:
-                out[(0,) + rest] = Fraction(v, den * qk)
-        return MultiPoly._trusted(self.d, out)
+                out[(0,) + rest] = v * q ** (top + 1 - len(a))
+        return MultiPoly._reduced(self.d, out, self._den * q**top)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -313,34 +373,31 @@ class MultiPoly:
         """Exact evaluation at a rational point of length d+1."""
         if len(point) != self.d + 1:
             raise ValueError(f"point has length {len(point)}, expected {self.d + 1}")
-        if not self._terms:
+        if not self._num:
             return Fraction(0)
-        # in integers: with x_i = p_i/q_i, D_i the degree in x_i and L the
-        # common denominator of the coefficients, the value is
-        # sum_e (L c_e) prod_i p_i^e_i q_i^(D_i - e_i) over L prod_i q_i^D_i
-        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        # in integers: with x_i = p_i/q_i and D_i the degree in x_i, the value
+        # is sum_e v_e prod_i p_i^e_i q_i^(D_i - e_i) over den prod_i q_i^D_i
         tables = []
         scale = 1
         for var, x in enumerate(point):
             x = _frac(x)
-            top = max(e[var] for e in self._terms)
+            top = max(e[var] for e in self._num)
             tables.append([x.numerator**k * x.denominator ** (top - k) for k in range(top + 1)])
             scale *= x.denominator**top
         total = 0
-        for exps, c in self._terms.items():
-            v = c.numerator * (den // c.denominator)
+        for exps, v in self._num.items():
             for table, e in zip(tables, exps):
                 v *= table[e]
             total += v
-        return Fraction(total, den * scale)
+        return Fraction(total, self._den * scale)
 
     def eval_float(self, point: Sequence[float]) -> float:
         """Float evaluation; convenient for sampling, not authoritative."""
         if len(point) != self.d + 1:
             raise ValueError(f"point has length {len(point)}, expected {self.d + 1}")
         total = 0.0
-        for exps, c in self._terms.items():
-            v = float(c)
+        for exps, v in self._num.items():
+            v = v / self._den  # int true division rounds correctly
             for x, e in zip(point, exps):
                 if e:
                     v *= float(x) ** e
@@ -349,17 +406,16 @@ class MultiPoly:
 
     # -- canonical form and serialization -------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in canonical graded-lexicographic order, leading term first."""
-        return sorted(
-            self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
-        )
+    def _sorted(self) -> list[tuple[tuple[int, ...], int]]:
+        """Numerators in canonical graded-lexicographic order, leading term first."""
+        return sorted(self._num.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def to_json_dict(self) -> dict:
+        den = self._den
         return {
             "d": self.d,
             "terms": [
-                {"coeff": str(c), "exps": list(e)} for e, c in self.sorted_terms()
+                {"coeff": _ratio_str(v, den), "exps": list(e)} for e, v in self._sorted()
             ],
         }
 
@@ -367,21 +423,21 @@ class MultiPoly:
     def from_json_dict(cls, obj: Mapping) -> "MultiPoly":
         """Read the polynomial schema; any malformed content raises ValueError."""
         d = _json_dim(obj, "a polynomial")
+        _check_dim(d)
         items = obj["terms"]
         if not isinstance(items, list):
             raise ValueError(f"'terms' must be a list, got {items!r}")
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms = []
         for item in items:
             if not isinstance(item, Mapping):
                 raise ValueError(f"a term must be an object, got {item!r}")
             exps = item["exps"]
-            if not isinstance(exps, list) or not all(type(e) is int for e in exps):
+            if type(exps) is not list or not {int}.issuperset(map(type, exps)):  # no bool
                 raise ValueError(f"exponents must be a list of integers: {exps!r}")
-            coeff = _json_rational(item["coeff"])
             exps = tuple(exps)
-            old = terms.get(exps)
-            terms[exps] = coeff if old is None else old + coeff
-        return cls(d, terms)
+            _check_exps(d, exps)
+            terms.append((exps, *_json_ratio(item["coeff"])))
+        return cls._reduced(d, *_over_one_denominator(terms))
 
     # -- display ---------------------------------------------------------------
 
@@ -389,22 +445,23 @@ class MultiPoly:
         return "t" if index == 0 else f"y{index}"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts: list[str] = []
-        for exps, c in self.sorted_terms():
+        for exps, v in self._sorted():
             factors = [
                 self._var_name(i) if e == 1 else f"{self._var_name(i)}^{e}"
                 for i, e in enumerate(exps)
                 if e
             ]
+            size = _ratio_str(abs(v), self._den)
             if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = size
+            elif size == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
+                body = "*".join([size] + factors)
+            sign = "-" if v < 0 else "+"
             parts.append(f"{sign} {body}")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -423,14 +480,25 @@ def _json_dim(obj: object, what: str) -> int:
     return d
 
 
-def _json_rational(value: object) -> Fraction:
-    """A rational from its schema form "p/q" or "p"; else ValueError."""
+def _json_ratio(value: object) -> tuple[int, int]:
+    """The integers (p, q) of a rational in its schema form "p/q" or "p":
+    ASCII decimal digits, a minus sign only in front of p, and q nonzero.
+    Anything else raises ValueError."""
     if not isinstance(value, str):
         raise ValueError(f"a rational must be a string \"p/q\", got {value!r}")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"invalid rational {value!r}: {exc}") from exc
+    num, slash, den = value.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.isdigit() and value.isascii() and (den.isdigit() or not slash)):
+        raise ValueError(f"invalid rational {value!r}: expected \"p/q\" or \"p\" in decimal digits")
+    q = int(den) if slash else 1
+    if not q:
+        raise ValueError(f"invalid rational {value!r}: zero denominator")
+    return int(num), q
+
+
+def _json_rational(value: object) -> Fraction:
+    """A rational from its schema form "p/q" or "p"; else ValueError."""
+    return Fraction(*_json_ratio(value))
 
 
 def _require_harmonic(p: MultiPoly, what: str) -> None:

@@ -59,6 +59,10 @@ def test_solve_slab_malformed_file(tmp_path, capsys):
         {"d": 1, "terms": [{"coeff": None, "exps": [0, 1]}]},
         [],
     ]
+    # only "p" and "p/q" in ASCII digits: no exponent, decimal point, blank,
+    # digit separator or plus sign
+    bad_coeffs = ["1e200000", "1.5", "2e3", " 3 ", "1_000", "+3", "1/-2", "/3", "3/", "-", "\u0663"]
+    bad_polys += [{"d": 1, "terms": [{"coeff": c, "exps": [0, 1]}]} for c in bad_coeffs]
     for poly in bad_polys:
         inputs = {
             "solve-slab": {"a": "0", "b": "1", "d": 1, "f0": poly, "f1": good},
@@ -88,6 +92,7 @@ def test_solve_slab_malformed_file(tmp_path, capsys):
         {**slab, "d": True},
         [],
     ]
+    bad_slabs += [{**slab, "a": c} for c in bad_coeffs] + [{**slab, "b": c} for c in bad_coeffs]
     bad_diffeqs = [{**diffeq, "d": True}, {**diffeq, "d": "1"}, []]
     cases = [("solve-slab", p) for p in bad_slabs]
     cases += [("verify", {"kind": "slab", "problem": p, "h": good}) for p in bad_slabs]

@@ -16,7 +16,6 @@ from slab_harmonics.laplace import (
     poisson_solve,
     trace_operator,
 )
-from slab_harmonics.poly import _laplacian_terms
 
 F = Fraction
 
@@ -46,6 +45,7 @@ def test_add_examples():
     assert y1 * y1 + (y1 * y1).scale(-1) == MultiPoly.zero(1)
     assert t + y1 == MultiPoly(1, {(1, 0): 1, (0, 1): 1})
     assert (t * t - y1 * y1) + (y1 * y1).scale(2) == t * t + y1 * y1
+    assert t.scale(F(1, 2)) != t and t.scale(F(2, 4)) == t.scale(F(1, 2))
 
 
 def test_add_dimension_mismatch():
@@ -149,24 +149,28 @@ def test_zero_degree_sentinel():
 # -- the integer shift and trace against the binomial expansion --------------
 
 
-def _shift_reference(p, s):
-    """t <- t + s in Fraction arithmetic, term by term:
+def _clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _shift_reference(terms, s):
+    """t <- t + s on a Fraction term map, term by term:
     c t^n y^r -> sum_j c C(n,j) s^(n-j) t^j y^r."""
     out = {}
-    for exps, c in p.terms.items():
+    for exps, c in terms.items():
         n = exps[0]
         for j in range(n + 1):
             e = (j,) + exps[1:]
             out[e] = out.get(e, 0) + c * math.comb(n, j) * s ** (n - j)
-    return MultiPoly(p.d, out)
+    return _clean(out)
 
 
-def _trace_reference(p, t0):
+def _trace_reference(terms, t0):
     out = {}
-    for exps, c in p.terms.items():
+    for exps, c in terms.items():
         e = (0,) + exps[1:]
         out[e] = out.get(e, 0) + c * t0 ** exps[0]
-    return MultiPoly(p.d, out)
+    return _clean(out)
 
 
 @st.composite
@@ -190,8 +194,8 @@ shifts = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(t_heavy_poly(), shifts)
 def test_shift_t_and_trace_match_binomial_expansion(p, s):
-    assert p.shift_t(s) == _shift_reference(p, s)
-    assert p.trace(s) == _trace_reference(p, s)
+    assert p.shift_t(s).terms == _shift_reference(p.terms, s)
+    assert p.trace(s).terms == _trace_reference(p.terms, s)
 
 
 @settings(max_examples=150, deadline=None)
@@ -280,18 +284,25 @@ def test_json_reader_accepts_any_term_order():
     assert exps == [(3, 0), (0, 2)]
 
 
-# -- the trusted constructor and the integer Laplacian -------------------------
+# -- the canonical integer-numerator form --------------------------------------
 
 
 def _assert_canonical(r):
-    """r holds what the public constructor would make of its own terms:
-    tuple exponents of length d+1, Fraction values, no zero coefficient."""
+    """r is stored in canonical form: nonzero integer numerators on tuple
+    exponents of length d+1, over a positive denominator coprime to their
+    content (1 for zero), and equals what the public constructor makes of
+    its own terms, which are nonzero Fractions."""
     assert isinstance(r, MultiPoly)
-    for exps, c in r._terms.items():
+    num, den = r.as_integer_ratio()
+    assert type(den) is int and den > 0
+    for exps, v in num.items():
         assert type(exps) is tuple and len(exps) == r.d + 1
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(c) is Fraction and c != 0
-    assert r == MultiPoly(r.d, r.terms)
+        assert type(v) is int and v != 0
+    assert math.gcd(den, *num.values()) == 1
+    terms = r.terms
+    assert all(type(c) is Fraction and c != 0 for c in terms.values())
+    assert r == MultiPoly(r.d, terms)
 
 
 @st.composite
@@ -340,57 +351,74 @@ def _laplacian_reference(terms, first):
     return {e: c for e, c in out.items() if c}
 
 
+# numerators to 10**40 over products of up to four large primes
+big_rationals = st.builds(
+    lambda n, ps: F(n, math.prod(ps)),
+    st.integers(-(10**40), 10**40).filter(bool),
+    st.lists(st.sampled_from([1, 2, 3, 7, 2**61 - 1, 10**9 + 7, 998244353]), max_size=4),
+)
+
+
 @st.composite
 def big_denominator_poly(draw):
     d = draw(st.integers(1, 4))
     exps = st.tuples(*[st.integers(0, 5) for _ in range(d + 1)])
-    primes = st.sampled_from([1, 2, 3, 7, 2**61 - 1, 10**9 + 7, 998244353])
-    coeff = st.builds(
-        lambda n, ps: F(n, math.prod(ps)),
-        st.integers(-(10**40), 10**40).filter(bool),
-        st.lists(primes, max_size=4),
-    )
-    return MultiPoly(d, dict(draw(st.lists(st.tuples(exps, coeff), max_size=12))))
+    return MultiPoly(d, dict(draw(st.lists(st.tuples(exps, big_rationals), max_size=12))))
 
 
 @settings(max_examples=100, deadline=None)
 @given(big_denominator_poly())
 def test_integer_laplacian_matches_fraction_reference(p):
-    for first in (0, 1):
-        got = _laplacian_terms(p._terms, first)
-        assert got == _laplacian_reference(p._terms, first)
+    for first, lap in ((0, p.laplacian()), (1, p.laplacian_y())):
+        got = lap.terms
+        assert got == _laplacian_reference(p.terms, first)
         assert all(type(c) is Fraction and c for c in got.values())
     # cancellation to zero: t^2 y^2 - (t^4 + y^4)/6 is harmonic at every d
     d = p.d
     h = MultiPoly(d, {(2, 2) + (0,) * (d - 1): 1, (4,) + (0,) * d: F(-1, 6), (0, 4) + (0,) * (d - 1): F(-1, 6)})
-    assert _laplacian_terms(h._terms, 0) == {}
+    assert h.laplacian().as_integer_ratio() == ({}, 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(1, 3).flatmap(
+    st.integers(1, 4).flatmap(
         lambda d: st.lists(
-            st.tuples(st.tuples(*[st.integers(0, 1)] * (d + 1)), st.fractions(max_denominator=5)),
+            st.tuples(
+                st.tuples(*[st.integers(0, 1)] * (d + 1)),
+                st.one_of(st.fractions(max_denominator=5), big_rationals),
+                st.integers(1, 10**6),
+            ),
             max_size=10,
         ).map(lambda items: (d, items))
     )
 )
 def test_json_reader_sums_repeated_exponents(case):
+    # each coefficient written unreduced, as k p / k q, and every third term
+    # repeated with the opposite sign, so that it cancels
     d, items = case
-    obj = {"d": d, "terms": [{"coeff": str(c), "exps": list(e)} for e, c in items]}
+    items = items + [(e, -c, k + 1) for e, c, k in items[::3]]
+    obj = {
+        "d": d,
+        "terms": [
+            {"coeff": f"{c.numerator * k}/{c.denominator * k}", "exps": list(e)} for e, c, k in items
+        ],
+    }
     expected = {}
-    for e, c in items:
+    for e, c, _ in items:
         expected[e] = expected.get(e, Fraction(0)) + c
     p = MultiPoly.from_json_dict(obj)
-    assert p._terms == {e: c for e, c in expected.items() if c}
+    assert p.terms == {e: c for e, c in expected.items() if c}
     _assert_canonical(p)
+    # the writer prints each coefficient as str(Fraction) does
+    written = p.to_json_dict()["terms"]
+    assert {tuple(t["exps"]): t["coeff"] for t in written} == {e: str(c) for e, c in p.terms.items()}
 
 
 def test_json_reader_drops_a_term_that_cancels():
     obj = {"d": 1, "terms": [
         {"coeff": "1/2", "exps": [1, 0]}, {"coeff": "3", "exps": [0, 1]}, {"coeff": "-1/2", "exps": [1, 0]},
     ]}
-    assert MultiPoly.from_json_dict(obj)._terms == {(0, 1): F(3)}
+    assert MultiPoly.from_json_dict(obj).terms == {(0, 1): F(3)}
 
 
 def test_public_constructor_still_validates():
@@ -404,5 +432,81 @@ def test_public_constructor_still_validates():
         with pytest.raises(ValueError):
             bad()
     p = MultiPoly(1, {(0, 1): 0, (1, 0): "2/4", (2, 0): 3})
-    assert p._terms == {(1, 0): F(1, 2), (2, 0): F(3)}
+    assert p.terms == {(1, 0): F(1, 2), (2, 0): F(3)}
+    assert p.as_integer_ratio() == ({(1, 0): 1, (2, 0): 6}, 2)
     _assert_canonical(p)
+
+
+# -- every kernel against a plain-Fraction reference ---------------------------
+
+
+def _sum_reference(p, q, sign):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _clean(out)
+
+
+def _mul_reference(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return _clean(out)
+
+
+def _derivative_reference(p, var):
+    out = {}
+    for exps, c in p.items():
+        if exps[var]:
+            e = list(exps)
+            e[var] -= 1
+            out[tuple(e)] = c * exps[var]
+    return out
+
+
+def _integrate_t_reference(p):
+    return {(e[0] + 1,) + e[1:]: c / (e[0] + 1) for e, c in p.items()}
+
+
+@st.composite
+def big_denominator_pair(draw):
+    """Two polynomials of one d = 1..4 with denominators up to products of
+    four large primes, the second sharing some monomials with the first,
+    and two rationals of the same kind."""
+    d = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 4) for _ in range(d + 1)])
+    p = dict(draw(st.lists(st.tuples(exps, big_rationals), max_size=10)))
+    shared = st.sampled_from(sorted(p)) if p else exps
+    q = dict(draw(st.lists(st.tuples(st.one_of(exps, shared), big_rationals), max_size=10)))
+    return MultiPoly(d, p), MultiPoly(d, q), draw(big_rationals), draw(big_rationals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_denominator_pair())
+def test_kernels_match_fraction_reference(case):
+    p, q, c, s = case
+    a, b = p.terms, q.terms
+    checks = [
+        (p + q, _sum_reference(a, b, 1)),
+        (p - q, _sum_reference(a, b, -1)),
+        (p - p, {}),
+        (p + (-p), {}),
+        (-p, {e: -v for e, v in a.items()}),
+        (p * q, _mul_reference(a, b)),
+        (p.scale(c), _clean({e: v * c for e, v in a.items()})),
+        (p.laplacian(), _laplacian_reference(a, 0)),
+        (p.laplacian_y(), _laplacian_reference(a, 1)),
+        (p.integrate_t(), _integrate_t_reference(a)),
+        (p.shift_t(s), _shift_reference(a, s)),
+        (p.trace(s), _trace_reference(a, s)),
+        (p.trace(0), _trace_reference(a, 0)),
+        (p.negate_t(), {e: -v if e[0] % 2 else v for e, v in a.items()}),
+        *zip(p.parity_split_t(), ({e: v for e, v in a.items() if e[0] % 2 == k} for k in (0, 1))),
+        *((p.derivative(var), _derivative_reference(a, var)) for var in range(p.d + 1)),
+    ]
+    for got, expected in checks:
+        assert got.terms == expected
+        _assert_canonical(got)
+    assert (p == q) == (a == b)
