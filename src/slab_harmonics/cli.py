@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from typing import Callable, TypeVar
 from . import diffeq as de
 from . import slab as sl
 from .complex_oracle import oracle_compare
-from .poly import MultiPoly
+from .poly import MultiPoly, _json_keys
 from .randgen import random_harmonic_poly, random_tfree_poly
 from .report import VerificationReport
 
@@ -133,6 +134,7 @@ def cmd_solve_diffeq(args) -> int:
 
 
 def _check_bundle(obj: dict) -> VerificationReport:
+    _json_keys(obj, "a verify bundle", {"kind", "problem", "h"})
     kind = obj["kind"]
     h = MultiPoly.from_json_dict(obj["h"])
     if kind == "slab":
@@ -203,21 +205,14 @@ def cmd_eval(args) -> int:
     axes = _parse_grid(args.grid, p.d)
     names = ["t"] + [f"y{j}" for j in range(1, p.d + 1)]
     lines = [",".join(names + ["value"])]
-
-    def walk(prefix: list[float], remaining: list[list[float]]) -> None:
-        if not remaining:
-            try:
-                value = p.eval_float(prefix)
-            except OverflowError:
-                value = math.inf
-            if not math.isfinite(value):
-                raise InputError(f"float evaluation at {prefix} overflows")
-            lines.append(",".join(f"{v:.17g}" for v in prefix + [value]))
-            return
-        for x in remaining[0]:
-            walk(prefix + [x], remaining[1:])
-
-    walk([], axes)
+    for point in map(list, itertools.product(*axes)):
+        try:
+            value = p.eval_float(point)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise InputError(f"float evaluation at {point} overflows")
+        lines.append(",".join(f"{v:.17g}" for v in point + [value]))
     text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

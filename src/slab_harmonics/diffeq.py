@@ -35,7 +35,8 @@ class DiffEqProblem:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "DiffEqProblem":
-        return cls(d=_json_dim(obj, "a diffeq problem"), g=MultiPoly.from_json_dict(obj["g"]))
+        d = _json_dim(obj, "a diffeq problem", {"d", "g"})
+        return cls(d=d, g=MultiPoly.from_json_dict(obj["g"]))
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,28 @@ def verify_difference(h: MultiPoly, g: MultiPoly) -> VerificationReport:
     )
 
 
+def _residue_check(
+    h1: MultiPoly, h2: MultiPoly, g: MultiPoly, labels: tuple[str, str]
+) -> tuple[dict[str, MultiPoly], MultiPoly | None]:
+    """Residuals of h1 and h2 as solutions for g, keyed "<label>_<name>".
+
+    Once both verify, r = h1 - h2 must be a t-free harmonic r(y): the
+    residuals then also hold "t_dependence_of_difference" = r - r(0,y) and
+    "difference_laplacian_y" = Lap_y r, and r is returned with them; else
+    r is None.
+    """
+    residuals = {}
+    for label, h in zip(labels, (h1, h2)):
+        for key, res in verify_difference(h, g).residuals.items():
+            residuals[f"{label}_{key}"] = res
+    if not all(res.is_zero for res in residuals.values()):
+        return residuals, None
+    r = h1 - h2
+    residuals["t_dependence_of_difference"] = r - r.trace(0)
+    residuals["difference_laplacian_y"] = r.laplacian_y()
+    return residuals, r
+
+
 def compare_solutions(h1: MultiPoly, h2: MultiPoly, g: MultiPoly) -> MultiPoly:
     """The t-free harmonic residue r(y) = h1 - h2 between two valid solutions.
 
@@ -132,15 +155,10 @@ def compare_solutions(h1: MultiPoly, h2: MultiPoly, g: MultiPoly) -> MultiPoly:
     ArithmeticError if the difference depends on t or is not harmonic in y
     (impossible for valid inputs; would signal a bug).
     """
-    for label, h in (("h1", h1), ("h2", h2)):
-        rep = verify_difference(h, g)
-        if not rep.passed:
-            bad = {k: str(r) for k, r in rep.nonzero_residuals().items()}
-            raise ValueError(f"{label} is not a valid solution: residuals {bad}")
-    delta = h1 - h2
-    if delta.degree_in(0) > 0:
-        raise ArithmeticError(f"difference of valid solutions depends on t: {delta}")
-    lap_y = delta.laplacian_y()
-    if not lap_y.is_zero:
-        raise ArithmeticError(f"difference residue is not harmonic in y: {lap_y}")
-    return delta
+    residuals, r = _residue_check(h1, h2, g, ("h1", "h2"))
+    bad = {k: str(res) for k, res in residuals.items() if not res.is_zero}
+    if r is None:
+        raise ValueError(f"h1 or h2 is not a valid solution: residuals {bad}")
+    if bad:
+        raise ArithmeticError(f"h1 - h2 is not a t-free harmonic r(y): residuals {bad}")
+    return r

@@ -149,10 +149,7 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     if f.is_zero:  # also spares building |y|^2 for a large d
         return f
     d = f.d
-    r2 = MultiPoly.zero(d)
-    for j in range(1, d + 1):
-        yj = MultiPoly.variable(d, j)
-        r2 = r2 + yj * yj
+    r2 = MultiPoly(d, {(0,) * j + (2,) + (0,) * (d - j): 1 for j in range(1, d + 1)})
 
     # split into homogeneous components by total degree
     num, den = f.as_integer_ratio()

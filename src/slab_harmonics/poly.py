@@ -422,7 +422,7 @@ class MultiPoly:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "MultiPoly":
         """Read the polynomial schema; any malformed content raises ValueError."""
-        d = _json_dim(obj, "a polynomial")
+        d = _json_dim(obj, "a polynomial", {"d", "terms"})
         _check_dim(d)
         items = obj["terms"]
         if not isinstance(items, list):
@@ -437,6 +437,8 @@ class MultiPoly:
             exps = tuple(exps)
             _check_exps(d, exps)
             terms.append((exps, *_json_ratio(item["coeff"])))
+            if len(item) != 2:  # both keys were read, so another is present
+                raise ValueError(f"a term takes only 'coeff' and 'exps', got keys {sorted(item)}")
         return cls._reduced(d, *_over_one_denominator(terms))
 
     # -- display ---------------------------------------------------------------
@@ -470,10 +472,19 @@ class MultiPoly:
         return f"MultiPoly(d={self.d}, {self})"
 
 
-def _json_dim(obj: object, what: str) -> int:
-    """The integer "d" of a JSON object read as `what`; raises ValueError."""
+def _json_keys(obj: object, what: str, keys: set[str]) -> None:
+    """Raise ValueError unless obj is a JSON object with no key outside `keys`."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"{what} must be an object, got {obj!r}")
+    unknown = obj.keys() - keys
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in {what}, which takes {sorted(keys)}")
+
+
+def _json_dim(obj: object, what: str, keys: set[str]) -> int:
+    """The integer "d" of a JSON object read as `what`, which may hold only
+    the keys in `keys`; raises ValueError."""
+    _json_keys(obj, what, keys)
     d = obj["d"]
     if type(d) is not int:  # also rejects bool
         raise ValueError(f"'d' must be an integer, got {d!r}")

@@ -50,7 +50,7 @@ class SlabProblem:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SlabProblem":
         return cls(
-            d=_json_dim(obj, "a slab problem"),
+            d=_json_dim(obj, "a slab problem", {"a", "b", "d", "f0", "f1"}),
             a=_json_rational(obj["a"]),
             b=_json_rational(obj["b"]),
             f0=MultiPoly.from_json_dict(obj["f0"]),

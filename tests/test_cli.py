@@ -58,6 +58,9 @@ def test_solve_slab_malformed_file(tmp_path, capsys):
         {"d": 1, "terms": 5},
         {"d": 1, "terms": [{"coeff": None, "exps": [0, 1]}]},
         [],
+        # unknown keys in a polynomial and in a term
+        {**good, "junk": 1},
+        {"d": 1, "terms": [{"coeff": "1", "exps": [0, 1], "x": 0}]},
     ]
     # only "p" and "p/q" in ASCII digits: no exponent, decimal point, blank,
     # digit separator or plus sign
@@ -90,15 +93,17 @@ def test_solve_slab_malformed_file(tmp_path, capsys):
         {**slab, "a": [1]},
         {**slab, "b": 1.5},  # a JSON float is not an exact rational
         {**slab, "d": True},
+        {**slab, "extra": 5},
         [],
     ]
     bad_slabs += [{**slab, "a": c} for c in bad_coeffs] + [{**slab, "b": c} for c in bad_coeffs]
-    bad_diffeqs = [{**diffeq, "d": True}, {**diffeq, "d": "1"}, []]
+    bad_diffeqs = [{**diffeq, "d": True}, {**diffeq, "d": "1"}, {**diffeq, "extra": 5}, []]
     cases = [("solve-slab", p) for p in bad_slabs]
     cases += [("verify", {"kind": "slab", "problem": p, "h": good}) for p in bad_slabs]
     for p in bad_diffeqs:
         cases += [("solve-diffeq", p), ("oracle-compare", p)]
         cases.append(("verify", {"kind": "diffeq", "problem": p, "h": good}))
+    cases.append(("verify", {"kind": "diffeq", "problem": diffeq, "h": good, "extra": 5}))
     for command, obj in cases:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(obj))
