@@ -41,6 +41,10 @@ T = TypeVar("T")
 # `verify` reads such a solution back only within this bound.
 _MAX_INPUT_DIGITS = 100_000
 
+# The most points an `eval` grid may have: the CSV is built in memory, and a
+# million rows of a d = 1 polynomial take about 3 s and 110 MB.
+_MAX_GRID_POINTS = 1_000_000
+
 
 class InputError(Exception):
     """Malformed or invalid input file; maps to exit code 2."""
@@ -62,9 +66,6 @@ def _load_json(path: str) -> dict:
 @contextmanager
 def _int_digits(limit: int):
     """Set Python's int <-> str digit limit (0: none) for the block."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
-        yield
-        return
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
@@ -170,34 +171,35 @@ def cmd_oracle_compare(args) -> int:
 
 
 def _parse_grid(spec: str, d: int) -> list[list[float]]:
-    """Parse "t=lo:hi:step,y1=lo:hi:step,..." into per-variable sample lists."""
+    """Parse "t=lo:hi:step,y1=lo:hi:step,..." into per-variable sample lists
+    lo, lo + step, ..., up to hi; a grid of more than _MAX_GRID_POINTS points
+    is rejected before any list is built."""
     parts = spec.split(",")
     if len(parts) < d + 1:  # before listing the names, which may be too many
         raise InputError(f"grid is missing variables: {len(parts)} given, {d + 1} needed")
     names = ["t"] + [f"y{j}" for j in range(1, d + 1)]
-    axes: dict[str, list[float]] = {}
+    axes: dict[str, tuple[float, float, int]] = {}  # (lo, step, number of points)
     for part in parts:
         try:
             name, rng = part.split("=")
             lo, hi, step = (float(v) for v in rng.split(":"))
         except ValueError as exc:
             raise InputError(f"malformed grid component {part!r}") from exc
-        if step <= 0:
+        if not step > 0:  # also NaN
             raise InputError(f"grid step must be positive in {part!r}")
         if not (lo <= hi) or any(x != x or abs(x) == float("inf") for x in (lo, hi)):
             raise InputError(f"empty or non-finite grid range in {part!r}")
         if name not in names:
             raise InputError(f"unknown grid variable {name!r} (expected {names})")
-        values = []
-        x = lo
-        while x <= hi + step * 1e-9:
-            values.append(x)
-            x += step
-        axes[name] = values
+        # capped, so a range too long for a float count is over the bound too
+        count = int(min((hi - lo) / step + 1e-9, _MAX_GRID_POINTS)) + 1
+        axes[name] = (lo, step, count)
     missing = [n for n in names if n not in axes]
     if missing:
         raise InputError(f"grid is missing variables: {missing}")
-    return [axes[n] for n in names]
+    if math.prod(axes[n][2] for n in names) > _MAX_GRID_POINTS:
+        raise InputError(f"grid has more than {_MAX_GRID_POINTS:,} points, the bound for eval")
+    return [[lo + i * step for i in range(count)] for lo, step, count in map(axes.get, names)]
 
 
 def cmd_eval(args) -> int:

@@ -50,10 +50,6 @@ class ComplexPoly:
     def from_real(cls, coeffs: Sequence[Fraction | int | str]) -> "ComplexPoly":
         return cls([(Fraction(c), Fraction(0)) for c in coeffs])
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComplexPoly):
             return NotImplemented

@@ -11,8 +11,8 @@ Lap_y, written with D = sqrt(Lap_y):
 The series are finite on polynomials because Lap_y strictly lowers degree.
 The inverse is (1/c) times the series of x/sin(x) in u = x^2 = c^2 Lap_y,
 whose coefficients are Bernoulli numbers (DLMF 4.19).  One kernel applies
-all four.  The Poisson solver uses the radial |y|^2 ansatz per homogeneous
-component.
+all four, each given as its list of rational coefficients.  The Poisson
+solver uses the radial |y|^2 ansatz per homogeneous component.
 """
 
 from __future__ import annotations
@@ -30,20 +30,23 @@ def _require_t_free(p: MultiPoly, what: str) -> None:
 
 
 def _series(
-    f: MultiPoly, coeffs: Sequence[int], den: int, t_exp: int = 0, t_step: int = 0
+    f: MultiPoly, coeffs: Sequence[tuple[int, int]], t_exp: int = 0, t_step: int = 0
 ) -> MultiPoly:
-    """sum_k (coeffs[k] / den) t^(t_exp + k t_step) Lap_y^k f for t-free f
-    and den > 0, walking the chain Lap_y^k f once over the numerators of f:
-    its factors are integers, so the whole sum is one integer map over den
-    times the denominator of f.  The gcd of that denominator with every
-    coeffs[k] times the content of Lap_y^k f is divided out before the
+    """sum_k (p_k / q_k) t^(t_exp + k t_step) Lap_y^k f for t-free f, with
+    coeffs the pairs (p_k, q_k), q_k > 0.  The series goes over one integer
+    denominator, lcm(q_k); this is the only place a series denominator is
+    chosen.  The chain Lap_y^k f is walked once over the numerators of f:
+    its factors are integers, so the whole sum is one integer map over that
+    lcm times the denominator of f.  The gcd of that denominator with every
+    coefficient times the content of Lap_y^k f is divided out before the
     products are formed, so a denominator full of factorials is never
     multiplied in and scanned out term by term.  The defaults give a
     t-free result."""
+    den = math.lcm(*(q for _, q in coeffs))
     term, f_den = f.as_integer_ratio()
     chain = []  # (coefficient, content, numerators) of each Lap_y^k f
-    for c in coeffs:
-        chain.append((c, math.gcd(*term.values()), term))
+    for p, q in coeffs:
+        chain.append((p * (den // q), math.gcd(*term.values()), term))
         term = _laplacian_num(term, 1)
     den *= f_den
     common = math.gcd(den, *(c * content for c, content, _ in chain))
@@ -64,30 +67,22 @@ def _length(f: MultiPoly) -> int:
     return max(f.total_degree(), 0) // 2 + 1
 
 
-def _alternating_factorials(n: int, first: int) -> list[int]:
-    """(-1)^k N / (2k + first)! for k < n and first in (0, 1), with
-    N = (2n - 2 + first)! the k = 0 entry: the series of
-    (-1)^k / (2k + first)! over one denominator."""
-    out = [0] * n
-    c = 1
-    for k in range(n - 1, -1, -1):
-        out[k] = -c if k % 2 else c
-        c *= (2 * k + first) * (2 * k + first - 1)
-    return out
+def _factorial_series(n: int, first: int) -> list[tuple[int, int]]:
+    """((-1)^k, (2k + first)!) for k < n: the series of cos x (first = 0)
+    or of sin(x)/x (first = 1) in powers of x^2."""
+    return [((-1) ** k, math.factorial(2 * k + first)) for k in range(n)]
 
 
 def even_ck_extension(f: MultiPoly) -> MultiPoly:
     """Harmonic H with H(0,y) = f(y) and dH/dt(0,y) = 0; even in t."""
     _require_t_free(f, "even_ck_extension input")
-    coeffs = _alternating_factorials(_length(f), 0)
-    return _series(f, coeffs, coeffs[0], 0, 2)
+    return _series(f, _factorial_series(_length(f), 0), 0, 2)
 
 
 def odd_ck_extension(g: MultiPoly) -> MultiPoly:
     """Harmonic V with V(0,y) = 0 and dV/dt(0,y) = g(y); odd in t."""
     _require_t_free(g, "odd_ck_extension input")
-    coeffs = _alternating_factorials(_length(g), 1)
-    return _series(g, coeffs, coeffs[0], 1, 2)
+    return _series(g, _factorial_series(_length(g), 1), 1, 2)
 
 
 def trace_operator(c: Scalar, g: MultiPoly) -> MultiPoly:
@@ -97,12 +92,11 @@ def trace_operator(c: Scalar, g: MultiPoly) -> MultiPoly:
     """
     _require_t_free(g, "trace_operator input")
     c = _frac(c)
-    p, q = c.numerator, c.denominator
-    n = _length(g)
-    s = _alternating_factorials(n, 1)
-    # over s_0 q^(2n-1): s_k p^(2k+1) q^(2n-2-2k)
-    coeffs = [s_k * p ** (2 * k + 1) * q ** (2 * (n - 1 - k)) for k, s_k in enumerate(s)]
-    return _series(g, coeffs, s[0] * q ** (2 * n - 1))
+    u, v = c.numerator, c.denominator
+    return _series(g, [
+        (s * u ** (2 * k + 1), q * v ** (2 * k + 1))
+        for k, (s, q) in enumerate(_factorial_series(_length(g), 1))
+    ])
 
 
 def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:
@@ -120,18 +114,17 @@ def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:
     if c == 0:
         raise ValueError("trace operator height c must be nonzero")
     n = _length(p)
-    s = _alternating_factorials(n, 1)  # s_k / s_0 = (-1)^k / (2k+1)!
-    a = [math.factorial(2 * n - 2) * s[0]]  # E A_k
+    s_den = math.factorial(2 * n - 1)
+    s = [p_j * (s_den // q_j) for p_j, q_j in _factorial_series(n, 1)]  # s_den s_j
+    a = [math.factorial(2 * n - 2) * s_den]  # E A_k
     for k in range(1, n):
-        a.append(-sum(s[j] * a[k - j] for j in range(1, k + 1)) // s[0])
-    common = math.gcd(*a)
-    a = [a_k // common for a_k in a]
-    # (1/c) A_k c^(2k) with c = u/v: over a_0 |u| v^(2n-2), the numerators
-    # sign(u) a_k u^(2k) v^(2n-1-2k)
+        a.append(-sum(s[j] * a[k - j] for j in range(1, k + 1)) // s_den)
+    # (1/c) A_k c^(2k) with c = u/v is sign(u) a_k u^(2k) v / (a_0 |u| v^(2k))
     u, v = c.numerator, c.denominator
     sign = 1 if u > 0 else -1
-    coeffs = [sign * a_k * u ** (2 * k) * v ** (2 * n - 1 - 2 * k) for k, a_k in enumerate(a)]
-    return _series(p, coeffs, a[0] * abs(u) * v ** (2 * n - 2))
+    return _series(p, [
+        (sign * a_k * u ** (2 * k) * v, a[0] * abs(u) * v ** (2 * k)) for k, a_k in enumerate(a)
+    ])
 
 
 def poisson_solve(f: MultiPoly) -> MultiPoly:

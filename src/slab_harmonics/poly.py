@@ -247,9 +247,6 @@ class MultiPoly:
             self.d, {e: v for e, v in out.items() if v}, self._den * other._den
         )
 
-    def __rmul__(self, other: Scalar) -> "MultiPoly":
-        return self.scale(other)
-
     def scale(self, c: Scalar) -> "MultiPoly":
         c = _frac(c)
         p = c.numerator

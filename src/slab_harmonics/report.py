@@ -13,7 +13,6 @@ from .poly import MultiPoly
 
 PASS = "pass"
 FAIL = "fail"
-NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,6 @@ class VerificationReport:
     residuals: dict[str, MultiPoly]
     extras: dict[str, MultiPoly] = field(default_factory=dict)
     elapsed: float = 0.0
-    note: str = ""
 
     @classmethod
     def from_residuals(
@@ -35,10 +33,6 @@ class VerificationReport:
     ) -> "VerificationReport":
         status = PASS if all(r.is_zero for r in residuals.values()) else FAIL
         return cls(name, status, dict(residuals), dict(extras or {}), elapsed)
-
-    @classmethod
-    def not_applicable(cls, name: str, reason: str = "") -> "VerificationReport":
-        return cls(name, NOT_APPLICABLE, {}, note=reason)
 
     @property
     def passed(self) -> bool:
@@ -56,6 +50,4 @@ class VerificationReport:
         }
         if self.extras:
             out["extras"] = {k: p.to_json_dict() for k, p in self.extras.items()}
-        if self.note:
-            out["note"] = self.note
         return out

@@ -122,8 +122,6 @@ def zero_data_rigidity(h: MultiPoly, a: Scalar, b: Scalar) -> VerificationReport
     _require_harmonic(h, "zero_data_rigidity requires a harmonic input")
     start = time.perf_counter()
     if not (h.trace(a).is_zero and h.trace(b).is_zero):
-        return VerificationReport.not_applicable(
-            "zero_data_rigidity", reason="boundary traces are not both zero"
-        )
+        raise ValueError(f"zero_data_rigidity requires trace(h, {a}) = trace(h, {b}) = 0")
     elapsed = time.perf_counter() - start
     return VerificationReport.from_residuals("zero_data_rigidity", {"h": h}, elapsed=elapsed)

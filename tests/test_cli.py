@@ -190,9 +190,11 @@ def test_eval_zero_poly(tmp_path):
 @pytest.mark.parametrize("grid", [
     "t=1:0:1,y1=0:1:1",       # empty range
     "t=0:1:0,y1=0:1:1",       # zero step
+    "t=0:1:nan,y1=0:1:1",     # NaN step
     "t=0:1:1",                # missing variable
     "t=0:1:1,y1=0:1:1,y2=0:1:1",  # unknown variable
     "bogus",
+    "t=0:1e9:1,y1=0:1:1",     # 2e9 points, over the bound
 ])
 def test_eval_malformed_grid(grid, capsys):
     assert main(["eval", "--input", fixture("poly_saddle.json"), "--grid", grid, "--quiet"]) == 2

@@ -110,24 +110,27 @@ def test_trace_operator_round_trip_random():
     })
     cases += [(F(3, 2), y1 ** 90), (F(-2, 3), dense)]
     for c, g in cases:
+        assert trace_operator(c, g) == odd_ck_extension(g).trace(c)  # L_c by definition
         assert invert_trace_operator(c, trace_operator(c, g)) == g
         assert trace_operator(c, invert_trace_operator(c, g)) == g
 
 
 def test_invert_trace_operator_is_the_x_over_sin_x_series():
-    # L_1^(-1) y^n = sum_k A_k Lap^k y^n, where A_k is the coefficient of x^(2k)
-    # in x/sin(x): (-1)^(k+1) 2 (2^(2k-1) - 1) B_2k / (2k)!  (DLMF 4.19.4)
+    # L_c^(-1) y^n = sum_k A_k c^(2k-1) Lap^k y^n, where A_k is the coefficient
+    # of x^(2k) in x/sin(x): (-1)^(k+1) 2 (2^(2k-1) - 1) B_2k / (2k)!
+    # (DLMF 4.19.4); c = -2/3 pins the wall powers and the sign
     n = 100
     _, y1 = variables(1)
-    g = invert_trace_operator(1, y1 ** n)
-    assert len(g.terms) == n // 2 + 1
     # B_n(x) = sum_j C(n,j) B_j x^(n-j): one Bernoulli polynomial gives each B_j
     bern = bernoulli_polynomial(n).coeffs
-    for k in range(n // 2 + 1):
-        b_2k = bern[n - 2 * k][0] / math.comb(n, 2 * k)
-        a_k = (-1) ** (k + 1) * 2 * (F(2) ** (2 * k - 1) - 1) * b_2k / math.factorial(2 * k)
-        lap_k = F(math.factorial(n), math.factorial(n - 2 * k))  # Lap^k y^n / y^(n-2k)
-        assert g.terms[(0, n - 2 * k)] == a_k * lap_k, k
+    for c in (F(1), F(-2, 3)):
+        g = invert_trace_operator(c, y1 ** n)
+        assert len(g.terms) == n // 2 + 1
+        for k in range(n // 2 + 1):
+            b_2k = bern[n - 2 * k][0] / math.comb(n, 2 * k)
+            a_k = (-1) ** (k + 1) * 2 * (F(2) ** (2 * k - 1) - 1) * b_2k / math.factorial(2 * k)
+            lap_k = F(math.factorial(n), math.factorial(n - 2 * k))  # Lap^k y^n / y^(n-2k)
+            assert g.terms[(0, n - 2 * k)] == a_k * c ** (2 * k - 1) * lap_k, (c, k)
 
 
 def test_operators_are_linear():

@@ -180,8 +180,8 @@ def test_zero_data_rigidity():
     )
     report = zero_data_rigidity(zero_solution, 0, 1)
     assert report.passed and report.elapsed > 0
-    guard = zero_data_rigidity(t, 0, 1)  # trace at b=1 is 1 != 0
-    assert guard.status == "not-applicable"
+    with pytest.raises(ValueError):
+        zero_data_rigidity(t, 0, 1)  # trace at b=1 is 1 != 0
 
 
 def test_high_degree_slab_golden_digest():
