@@ -8,7 +8,8 @@ Commands:
     eval            sample a polynomial on a float grid, CSV output
     self-test       seeded randomized identity checks (SLAB_HARMONICS_SEED)
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 malformed input.
+Exit codes: 0 all checks pass, 1 verification failure, 2 malformed input
+(or an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -92,13 +93,22 @@ def _read_input(path: str, parse: Callable[[dict], T]) -> T:
         raise InputError(str(exc)) from exc
 
 
+def _write(path: str | None, text: str, quiet: bool) -> None:
+    """Write `text` to `path`, or to stdout unless quiet; a path that cannot
+    be written raises InputError, which `main` turns into exit code 2."""
+    if not path:
+        if not quiet:
+            sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: str | None, obj: dict, quiet: bool) -> None:
     # one line: json.dumps with indent runs CPython's pure-Python encoder
-    text = json.dumps(obj)
-    if path:
-        Path(path).write_text(text + "\n", encoding="utf-8")
-    elif not quiet:
-        print(text)
+    _write(path, json.dumps(obj) + "\n", quiet)
 
 
 def _report_exit(report: VerificationReport, quiet: bool) -> int:
@@ -126,11 +136,13 @@ def cmd_solve_slab(args) -> int:
 
 def cmd_solve_diffeq(args) -> int:
     prob = _read_input(args.input, de.DiffEqProblem.from_json_dict)
-    sol = de.solve(prob)
-    report = de.verify_difference(sol.h, prob.g)
-    out = sol.to_json_dict()
-    out["report"] = report.to_json_dict()
-    _write_json(args.output, out, args.quiet)
+    h = de.solve(prob).h
+    report = de.verify_difference(h, prob.g)
+    _write_json(
+        args.output,
+        {"h": h.to_json_dict(), "report": report.to_json_dict()},
+        args.quiet,
+    )
     return _report_exit(report, args.quiet)
 
 
@@ -215,17 +227,17 @@ def cmd_eval(args) -> int:
         if not math.isfinite(value):
             raise InputError(f"float evaluation at {point} overflows")
         lines.append(",".join(f"{v:.17g}" for v in point + [value]))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    elif not args.quiet:
-        sys.stdout.write(text)
+    _write(args.output, "\n".join(lines) + "\n", args.quiet)
     return 0
 
 
 def cmd_self_test(args) -> int:
-    seed = os.environ.get("SLAB_HARMONICS_SEED", "0")
-    rng = random.Random(int(seed))
+    text = os.environ.get("SLAB_HARMONICS_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        raise InputError(f"SLAB_HARMONICS_SEED must be an integer, got {text!r}") from None
+    rng = random.Random(seed)
     failures = 0
     rounds = args.rounds
     if rounds < 0:

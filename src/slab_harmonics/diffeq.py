@@ -10,7 +10,7 @@ f(y) = g(0,y) and p(y) = dg/dt(0,y):  h = S(-f/2) + d/dt S(G/2).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -42,13 +42,6 @@ class DiffEqProblem:
 @dataclass(frozen=True)
 class DiffEqSolution:
     h: MultiPoly
-    provenance: dict[str, MultiPoly] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "h": self.h.to_json_dict(),
-            "provenance": {k: p.to_json_dict() for k, p in self.provenance.items()},
-        }
 
 
 def _half_slab(phi: MultiPoly) -> MultiPoly:
@@ -95,23 +88,10 @@ def solve_odd(g_odd: MultiPoly) -> MultiPoly:
 
 def solve(prob: DiffEqProblem) -> DiffEqSolution:
     """Harmonic h = S(-f/2) + d/dt S(G/2) with shift_t(h,1) - h = g, where
-    f = g(0,y) and G = poisson_solve(dg/dt(0,y)), with pipeline provenance."""
-    g_even, g_odd = prob.g.parity_split_t()
-    big_g = _potential(prob.g)
+    f = g(0,y) and G = poisson_solve(dg/dt(0,y))."""
     h_even = _half_slab(prob.g.trace(0).scale(Fraction(-1, 2)))
-    big_h = _half_slab(big_g.scale(Fraction(1, 2)))
-    h_odd = big_h.derivative(0)
-    return DiffEqSolution(
-        h=h_even + h_odd,
-        provenance={
-            "g_even": g_even,
-            "g_odd": g_odd,
-            "h_even": h_even,
-            "antiderivative_u": g_odd.integrate_t() - big_g,
-            "intermediate_H": big_h,
-            "h_odd": h_odd,
-        },
-    )
+    h_odd = _half_slab(_potential(prob.g).scale(Fraction(1, 2))).derivative(0)
+    return DiffEqSolution(h=h_even + h_odd)
 
 
 def verify_difference(h: MultiPoly, g: MultiPoly) -> VerificationReport:
