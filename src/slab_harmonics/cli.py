@@ -269,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_input=True, needs_grid=False):
+    def add(name, func, files=True, needs_grid=False):
         sp = sub.add_parser(name)
-        if needs_input:
+        if files:
             sp.add_argument("--input", required=True, help="input JSON file")
-        sp.add_argument("--output", help="output file (default: stdout)")
+            sp.add_argument("--output", help="output file (default: stdout)")
         if needs_grid:
             sp.add_argument(
                 "--grid",
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("verify", cmd_verify)
     add("oracle-compare", cmd_oracle_compare)
     add("eval", cmd_eval, needs_grid=True)
-    st = add("self-test", cmd_self_test, needs_input=False)
+    st = add("self-test", cmd_self_test, files=False)
     st.add_argument("--rounds", type=int, default=20)
     return parser
 
@@ -298,9 +298,19 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with _int_digits(0):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # the reader of stdout has gone; send what is still buffered to
+        # /dev/null, or the interpreter's flush at exit fails once more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 2
 
 

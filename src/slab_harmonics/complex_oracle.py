@@ -2,8 +2,10 @@
 
 Bernoulli polynomials solve the holomorphic difference equation
 F(z+1) - F(z) = G(z); taking real parts after substituting z = t + i*y
-transfers it to planar harmonic polynomials.  Everything is exact: complex
-coefficients are pairs of rationals.
+transfers it to planar harmonic polynomials.  Everything is exact: a complex
+polynomial is stored as MultiPoly stores a real one, as Gaussian-integer
+numerators (re_k, im_k) over one positive denominator, in canonical form.
+None of this shares code with `laplace`.
 """
 
 from __future__ import annotations
@@ -20,27 +22,37 @@ from .report import VerificationReport
 # a complex rational is a (real, imag) pair of Fractions
 CRational = tuple[Fraction, Fraction]
 
+# Gaussian-integer numerators (re_k, im_k) of the coefficients of z^k
+GaussNumerators = list[tuple[int, int]]
+
 _ZERO: CRational = (Fraction(0), Fraction(0))
 
 
-def _cadd(a: CRational, b: CRational) -> CRational:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cmul(a: CRational, b: CRational) -> CRational:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 class ComplexPoly:
-    """Univariate polynomial in z with exact complex-rational coefficients."""
+    """Univariate polynomial in z with exact complex-rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Canonical form: no trailing zero numerator, and a positive denominator
+    coprime to the content of the numerators (1 for the zero polynomial).
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[CRational] = ()):
-        cs = [(Fraction(re), Fraction(im)) for re, im in coeffs]
-        while cs and cs[-1] == _ZERO:
-            cs.pop()
-        self.coeffs: tuple[CRational, ...] = tuple(cs)
+        pairs = [(Fraction(re), Fraction(im)) for re, im in coeffs]
+        den = math.lcm(*(c.denominator for pair in pairs for c in pair))
+        num = [
+            (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+            for re, im in pairs
+        ]
+        self._num, self._den = _canonical(num, den)
+
+    @classmethod
+    def _reduced(cls, num: GaussNumerators, den: int) -> "ComplexPoly":
+        """Wrap numerators built by internal code (den > 0; the list is
+        handed over), put in canonical form."""
+        p = object.__new__(cls)
+        p._num, p._den = _canonical(num, den)
+        return p
 
     @classmethod
     def zero(cls) -> "ComplexPoly":
@@ -50,59 +62,124 @@ class ComplexPoly:
     def from_real(cls, coeffs: Sequence[Fraction | int | str]) -> "ComplexPoly":
         return cls([(Fraction(c), Fraction(0)) for c in coeffs])
 
+    @property
+    def coeffs(self) -> tuple[CRational, ...]:
+        den = self._den
+        return tuple((Fraction(re, den), Fraction(im, den)) for re, im in self._num)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComplexPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ComplexPoly(
-            _cadd(self.coeff(k), other.coeff(k)) for k in range(n)
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return self + other.scale((Fraction(-1), Fraction(0)))
+        return self._plus(other, -1)
+
+    def _plus(self, other: "ComplexPoly", sign: int) -> "ComplexPoly":
+        den = math.lcm(self._den, other._den)
+        ma, mb = den // self._den, sign * (den // other._den)
+        a, b = self._num, other._num
+        if len(a) < len(b):
+            a = a + [(0, 0)] * (len(b) - len(a))
+        out = [(re * ma, im * ma) for re, im in a]
+        for k, (re, im) in enumerate(b):
+            out[k] = (out[k][0] + re * mb, out[k][1] + im * mb)
+        return ComplexPoly._reduced(out, den)
 
     def coeff(self, k: int) -> CRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
+        if not 0 <= k < len(self._num):
+            return _ZERO
+        re, im = self._num[k]
+        return (Fraction(re, self._den), Fraction(im, self._den))
 
     def scale(self, c: CRational) -> "ComplexPoly":
-        return ComplexPoly(_cmul(c, a) for a in self.coeffs)
+        re_c, im_c = Fraction(c[0]), Fraction(c[1])
+        q = math.lcm(re_c.denominator, im_c.denominator)
+        u, v = re_c.numerator * (q // re_c.denominator), im_c.numerator * (q // im_c.denominator)
+        return ComplexPoly._reduced(
+            [(u * re - v * im, u * im + v * re) for re, im in self._num], self._den * q
+        )
 
     def shift(self, s: Fraction | int) -> "ComplexPoly":
         """Substitute z <- z + s for rational s (binomial expansion)."""
         s = Fraction(s)
-        out = [_ZERO] * len(self.coeffs)
-        for n, c in enumerate(self.coeffs):
+        p, q = s.numerator, s.denominator
+        # sum_n c_n (z + p/q)^n = q^-m sum_n c_n q^(m-n) sum_j C(n,j) (qz)^j p^(n-j)
+        m = len(self._num) - 1
+        out = [(0, 0)] * len(self._num)
+        for n, (re, im) in enumerate(self._num):
             for j in range(n + 1):
-                w = math.comb(n, j) * s ** (n - j)
-                out[j] = _cadd(out[j], (c[0] * w, c[1] * w))
-        return ComplexPoly(out)
+                w = math.comb(n, j) * p ** (n - j) * q ** (m - n + j)
+                out[j] = (out[j][0] + w * re, out[j][1] + w * im)
+        return ComplexPoly._reduced(out, self._den * q ** max(m, 0))
 
     def antiderivative(self) -> "ComplexPoly":
         """Antiderivative with zero constant term."""
-        return ComplexPoly(
-            [_ZERO] + [(c[0] / (k + 1), c[1] / (k + 1)) for k, c in enumerate(self.coeffs)]
-        )
+        # c_k / (k+1) over one denominator: m is the lcm of what k+1 leaves
+        # after cancelling against both parts of c_k
+        m = math.lcm(*((k + 1) // math.gcd(re, im, k + 1) for k, (re, im) in enumerate(self._num)))
+        out = [(0, 0)] + [
+            (re * m // (k + 1), im * m // (k + 1)) for k, (re, im) in enumerate(self._num)
+        ]
+        return ComplexPoly._reduced(out, self._den * m)
 
     def integral_unit_interval(self) -> CRational:
         """Exact integral over [0, 1]."""
-        total = _ZERO
-        for k, c in enumerate(self.coeffs):
-            total = _cadd(total, (c[0] / (k + 1), c[1] / (k + 1)))
-        return total
+        m = math.lcm(*range(1, len(self._num) + 1))
+        re = sum(c[0] * (m // (k + 1)) for k, c in enumerate(self._num))
+        im = sum(c[1] * (m // (k + 1)) for k, c in enumerate(self._num))
+        return (Fraction(re, self._den * m), Fraction(im, self._den * m))
 
     def __repr__(self) -> str:
         return f"ComplexPoly({list(self.coeffs)})"
 
 
-def _bernoulli_polynomials(n: int) -> list[ComplexPoly]:
-    """[B_0, ..., B_n] via B_0 = 1, B_k' = k B_(k-1), int_0^1 B_k = 0."""
-    bs = [ComplexPoly.from_real([1])]
+def _canonical(num: GaussNumerators, den: int) -> tuple[GaussNumerators, int]:
+    """Drop trailing zeros and divide out gcd(den, content) of numerators
+    over den > 0, with one gcd scan that stops at 1."""
+    while num and num[-1] == (0, 0):
+        num.pop()
+    if not num:
+        return num, 1
+    g = den
+    for re, im in num:
+        if g == 1:
+            return num, den
+        g = math.gcd(g, re, im)
+    if g != 1:
+        num = [(re // g, im // g) for re, im in num]
+        den //= g
+    return num, den
+
+
+def _bernoulli_polynomials(n: int) -> list[tuple[list[int], int]]:
+    """[B_0, ..., B_n] as (integer numerators, denominator) pairs, via
+    B_0 = 1, B_k' = k B_(k-1), int_0^1 B_k = 0.
+
+    The coefficient of z^(i+1) in k int B_(k-1) is C(k, i+1) B_(k-1-i), so
+    the numerators k b_i / (i+1) divide exactly over the denominator of
+    B_(k-1) (checked); only the constant term brings in a new denominator."""
+    bs = [([1], 1)]
     for k in range(1, n + 1):
-        raw = bs[-1].scale((Fraction(k), Fraction(0))).antiderivative()
-        bs.append(raw - ComplexPoly([raw.integral_unit_interval()]))
+        b, den = bs[-1]
+        raw = [0] * (k + 1)
+        for i, v in enumerate(b):
+            raw[i + 1], rest = divmod(k * v, i + 1)
+            if rest:
+                raise ArithmeticError(f"Bernoulli recurrence: {k} b_{i} / {i + 1} is not exact")
+        # int_0^1 of the raw polynomial is sum_i raw_i / (i + 1) over den; the
+        # constant term is minus that, over den * m
+        m = math.lcm(*range(2, k + 2))
+        c = -sum(v * (m // (i + 1)) for i, v in enumerate(raw))
+        g = math.gcd(m, c)
+        m //= g
+        raw = [v * m for v in raw]
+        raw[0] = c // g
+        g = math.gcd(den * m, *raw)
+        bs.append(([v // g for v in raw], den * m // g))
     return bs
 
 
@@ -110,40 +187,44 @@ def bernoulli_polynomial(n: int) -> ComplexPoly:
     """The Bernoulli polynomial B_n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _bernoulli_polynomials(n)[n]
+    num, den = _bernoulli_polynomials(n)[n]
+    return ComplexPoly._reduced([(v, 0) for v in num], den)
 
 
 def solve_complex_difference(g: ComplexPoly) -> ComplexPoly:
     """F with F(z+1) - F(z) = G(z): F = sum_n p_n B_(n+1)(z) / (n+1)."""
-    bs = _bernoulli_polynomials(len(g.coeffs))
-    result = ComplexPoly.zero()
-    for n, p_n in enumerate(g.coeffs):
-        if p_n != _ZERO:
-            result = result + bs[n + 1].scale((p_n[0] / (n + 1), p_n[1] / (n + 1)))
-    return result
+    bs = _bernoulli_polynomials(len(g._num))
+    used = [n for n, p_n in enumerate(g._num) if p_n != (0, 0)]
+    # p_n / ((n+1) den(B_(n+1))) over one lcm L; the sum is over L den(G)
+    lcm = math.lcm(*((n + 1) * bs[n + 1][1] for n in used))
+    out = [(0, 0)] * (len(g._num) + 1)
+    for n in used:
+        b, b_den = bs[n + 1]
+        w = lcm // ((n + 1) * b_den)
+        re, im = g._num[n][0] * w, g._num[n][1] * w
+        for j, v in enumerate(b):
+            if v:
+                out[j] = (out[j][0] + re * v, out[j][1] + im * v)
+    return ComplexPoly._reduced(out, lcm * g._den)
 
 
 def harmonic_part(p: ComplexPoly, which: str = "real") -> MultiPoly:
     """Expand p(t + i*y) exactly and take the real or imaginary part (d = 1)."""
     if which not in ("real", "imaginary"):
         raise ValueError(f"'which' must be 'real' or 'imaginary', got {which!r}")
-    terms_re: dict[tuple[int, int], Fraction] = {}
-    terms_im: dict[tuple[int, int], Fraction] = {}
-    for n, c in enumerate(p.coeffs):
+    part = 0 if which == "real" else 1
+    num: dict[tuple[int, int], int] = {}
+    for n, c in enumerate(p._num):
         # (t + iy)^n = sum_j C(n,j) t^(n-j) (iy)^j; i^j cycles with period 4
         for j in range(n + 1):
-            w = Fraction(math.comb(n, j))
-            # i^j * c
             re, im = c
             for _ in range(j % 4):
                 re, im = -im, re
-            # (n - j, j) determines n, so each key is written once
-            key = (n - j, j)
-            if re:
-                terms_re[key] = w * re
-            if im:
-                terms_im[key] = w * im
-    result = MultiPoly(1, terms_re if which == "real" else terms_im)
+            v = (re, im)[part]
+            if v:
+                # (n - j, j) determines n, so each key is written once
+                num[(n - j, j)] = math.comb(n, j) * v
+    result = MultiPoly._reduced(1, num, p._den)
     lap = result.laplacian()
     if not lap.is_zero:
         raise ArithmeticError(f"harmonic_part produced non-harmonic output: {lap}")
@@ -159,14 +240,12 @@ def harmonic_conjugate_completion(g: MultiPoly) -> ComplexPoly:
     if g.d != 1:
         raise ValueError("harmonic_conjugate_completion requires d = 1")
     _require_harmonic(g, "input must be harmonic")
-    gt = g.derivative(0).terms
-    gy = g.derivative(1).terms
-    deg = max((e[0] for e in (*gt, *gy)), default=0)
-    coeffs = [
-        (gt.get((n, 0), Fraction(0)), -gy.get((n, 0), Fraction(0))) for n in range(deg + 1)
-    ]
-    p = ComplexPoly(coeffs).antiderivative() + ComplexPoly(
-        [(g.eval_exact((0, 0)), Fraction(0))]
+    num, den = g.as_integer_ratio()
+    deg = max(g.total_degree(), 0)
+    # the coefficient of z^n in P' is (n+1) g_(n+1,0) - i g_(n,1), over den
+    dp = [((n + 1) * num.get((n + 1, 0), 0), -num.get((n, 1), 0)) for n in range(deg)]
+    p = ComplexPoly._reduced(dp, den).antiderivative() + ComplexPoly._reduced(
+        [(num.get((0, 0), 0), 0)], den
     )
     roundtrip = harmonic_part(p, "real") - g
     if not roundtrip.is_zero:

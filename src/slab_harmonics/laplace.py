@@ -18,7 +18,7 @@ solver uses the radial |y|^2 ansatz per homogeneous component.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .poly import MultiPoly, Scalar, _frac, _laplacian_num
@@ -133,10 +133,12 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     Per homogeneous component f_m of degree m the radial ansatz
 
         G_m = sum_k c_k |y|^(2k+2) Lap_y^k f_m,
-        c_0 = 1/(2(2m+d)),  c_k = -c_(k-1) / (2(k+1)(2m-2k+d))
+        c_k = (-1)^k / prod_(i=0..k) 2(i+1)(2m-2i+d)
 
     gives a particular solution; solutions are unique only up to a harmonic
-    addend, so the exact residual check at the end is the contract.
+    addend, so the exact residual check at the end is the contract.  Every
+    c_k is put over one integer lcm, so all products go into one integer map
+    over that lcm times the denominator of f, reduced once.
     """
     _require_t_free(f, "poisson_solve input")
     if f.is_zero:  # also spares building |y|^2 for a large d
@@ -150,21 +152,33 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     for exps, v in num.items():
         components.setdefault(sum(exps), {})[exps] = v
 
-    result = MultiPoly.zero(d)
-    for m, terms in components.items():
-        fm = MultiPoly._reduced(d, terms, den)
-        coeff = Fraction(1, 2 * (2 * m + d))
-        term = fm
-        r2_pow = r2
-        k = 0
-        while not term.is_zero:
-            result = result + (r2_pow * term).scale(coeff)
-            term = term.laplacian_y()
-            if term.is_zero:
-                break
+    # (k, q_k, numerators of Lap_y^k f_m) with c_k = (-1)^k / q_k
+    steps = []
+    for m, term in components.items():
+        q, k = 2 * (2 * m + d), 0
+        while term:
+            steps.append((k, q, term))
+            term = _laplacian_num(term, 1)
             k += 1
-            coeff = -coeff / (2 * (k + 1) * (2 * m - 2 * k + d))
-            r2_pow = r2_pow * r2
+            q *= 2 * (k + 1) * (2 * m - 2 * k + d)
+
+    # |y|^(2k+2) for every k needed, each built once
+    r2_pows = [r2]
+    for _ in range(max(k for k, _, _ in steps)):
+        r2_pows.append(r2_pows[-1] * r2)
+    r2_pows = [pw.as_integer_ratio()[0] for pw in r2_pows]  # denominators are 1
+
+    lcm = math.lcm(*(q for _, q, _ in steps))
+    out: dict[tuple[int, ...], int] = {}
+    for k, q, term in steps:
+        c = (-1) ** k * (lcm // q)
+        pow_items = r2_pows[k].items()
+        for ea, va in term.items():
+            va *= c
+            for eb, vb in pow_items:
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + va * vb
+    result = MultiPoly._reduced(d, {e: v for e, v in out.items() if v}, lcm * den)
 
     residual = result.laplacian_y() - f
     if not residual.is_zero:

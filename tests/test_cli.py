@@ -1,6 +1,9 @@
 """End-to-end CLI tests against the JSON fixture files."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,6 +215,15 @@ def test_self_test_rounds(capsys):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
+def test_self_test_takes_no_output_option(tmp_path, capsys):
+    out = tmp_path / "st.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["self-test", "--rounds", "1", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --output" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["abc", "1e3", "", "7.0"])
 def test_self_test_malformed_seed_exits_2(seed, monkeypatch, capsys):
     monkeypatch.setenv("SLAB_HARMONICS_SEED", seed)
@@ -344,3 +356,29 @@ def test_unwritable_output_exits_2_in_one_line(argv, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-slab", "--input", fixture("slab_basic.json")],
+    ["solve-diffeq", "--input", fixture("diffeq_basic.json")],
+    ["verify", "--input", fixture("verify_good.json")],
+    ["oracle-compare", "--input", fixture("diffeq_oracle.json")],
+    ["eval", "--input", fixture("poly_saddle.json"), "--grid", "t=0:1:1,y1=0:1:1"],
+    ["self-test", "--rounds", "1"],
+])
+def test_closed_stdout_exits_2_in_one_line(argv):
+    # stdout is a pipe whose read end is closed before the command starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "slab_harmonics.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1, err

@@ -1,7 +1,10 @@
 """Bernoulli polynomials, the holomorphic difference equation, and the d=1 oracle."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from slab_harmonics.complex_oracle import oracle_solve
 from slab_harmonics.randgen import random_harmonic_poly
 
 F = Fraction
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def real_poly(*coeffs):
@@ -45,7 +50,7 @@ def test_bernoulli_difference_identity():
 
 
 def test_bernoulli_recurrence_properties():
-    for n in range(1, 10):
+    for n in range(1, 61):
         b = bernoulli_polynomial(n)
         prev = bernoulli_polynomial(n - 1)
         # derivative B_n' = n B_(n-1)
@@ -147,6 +152,19 @@ def test_oracle_solve_is_valid_solution_random():
         assert h_oracle.laplacian().is_zero
         rep = oracle_compare(g, solve(DiffEqProblem(g, 1)).h)
         assert rep.passed
+
+
+def test_oracle_solve_golden_digest():
+    # sha256 of the canonical JSON of the oracle's h, pinned from the oracle
+    # that kept its coefficients as Fraction pairs: the fixture's g and seeded
+    # d = 1 data up to degree 36
+    fixture = json.loads((FIXTURES / "diffeq_oracle.json").read_text())
+    gs = [DiffEqProblem.from_json_dict(fixture).g]
+    rng = random.Random(97)
+    gs += [random_harmonic_poly(rng, 1, deg, max_terms=6) for deg in [*range(0, 37, 2), 36, 36, 36]]
+    sols = [oracle_solve(g).to_json_dict() for g in gs]
+    digest = hashlib.sha256(json.dumps(sols, sort_keys=True).encode()).hexdigest()
+    assert digest == "3fa473e8e8df2094e791bcd7721e2153172ac45d0b5b0663b902c9190eccf298"
 
 
 def test_oracle_compare_reports_wrong_solution():

@@ -1,5 +1,7 @@
 """CK extensions, the trace operator and its inverse, and the Poisson solver."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -165,3 +167,16 @@ def test_poisson_residual_random():
             f = random_tfree_poly(rng, d, 10)
             g = poisson_solve(f)
             assert g.laplacian_y() == f  # poisson_solve also self-checks this
+
+
+def test_poisson_solve_golden_digest():
+    # sha256 of the canonical JSON of G, pinned from the solver that added
+    # one MultiPoly per series step: seeded t-free data, d = 1..5
+    rng = random.Random(101)
+    sols = []
+    for i in range(40):
+        d = 1 + i % 5
+        f = random_tfree_poly(rng, d, (24, 12, 8, 6, 5)[d - 1], max_terms=6)
+        sols.append(poisson_solve(f).to_json_dict())
+    digest = hashlib.sha256(json.dumps(sols, sort_keys=True).encode()).hexdigest()
+    assert digest == "59ad62f51065cf77e9e393e277dc387904c64edbf9d936f6f6c7fed1ec60e188"
