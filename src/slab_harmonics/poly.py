@@ -213,6 +213,10 @@ class MultiPoly:
     def _plus(self, other: "MultiPoly", negate: bool) -> "MultiPoly":
         """self + other, or self - other if negate; cancelled terms are dropped."""
         self._check_space(other)
+        if not other._num:
+            return self
+        if not self._num and not negate:
+            return other
         den = math.lcm(self._den, other._den)
         ma, mb = den // self._den, den // other._den
         out = dict(self._num) if ma == 1 else {e: v * ma for e, v in self._num.items()}

@@ -1,9 +1,11 @@
 """Dirichlet problem on the slab (a,b) x R^d with polynomial boundary data.
 
-The solver composes an even CK extension of the data at the left wall with an
-odd CK extension whose trace at the right wall is fitted by inverting the
-trace operator.  Because all data is polynomial, the solution is a harmonic
-polynomial on all of R^(d+1) and every identity below is exact.
+The solver finds the Cauchy data of the solution at t = 0, u0 = h(0,y) and
+u1 = dh/dt(0,y), and extends them: h = cos(tD) u0 + sin(tD)/D u1, with
+D = sqrt(Lap_y).  The two wall conditions are a 2x2 system of Lap_y-series
+whose determinant is the trace operator of the slab's width.  Because all
+data is polynomial, the solution is a harmonic polynomial on all of R^(d+1)
+and every identity below is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .laplace import even_ck_extension, invert_trace_operator, odd_ck_extension
+from .laplace import (
+    _inverse_trace_series,
+    _length,
+    _series,
+    _series_product,
+    _wall_series,
+    even_ck_extension,
+    odd_ck_extension,
+)
 from .poly import MultiPoly, Scalar, _frac, _json_dim, _json_rational, _require_harmonic
 from .report import VerificationReport
 
@@ -61,14 +71,35 @@ class SlabProblem:
 def solve_slab(prob: SlabProblem) -> MultiPoly:
     """Harmonic polynomial h with trace(h,a) = f0 and trace(h,b) = f1.
 
-    Works in the shifted variable s = t - a: start from the even CK extension
-    of f0, then correct the trace at s = c = b - a with an odd CK extension.
+    With C_x = cos(xD), S_x = sin(xD)/D and h = C_t u0 + S_t u1, the walls
+    ask C_a u0 + S_a u1 = f0 and C_b u0 + S_b u1 = f1.  The determinant is
+    L = S_(b-a), the trace operator of the width, so
+
+        u0 = L^(-1) (S_b f0 - S_a f1),   u1 = L^(-1) (C_a f1 - C_b f0),
+
+    and h = even_ck(u0) + odd_ck(u1).  Each composite series, such as
+    S_b L^(-1), is a Cauchy product cut at the length of the data it acts
+    on, and each datum's Laplacian chain is walked once for both of its
+    series.  Zero data, and the series S_0 = 0, are skipped.
     """
-    c = prob.b - prob.a
-    base = even_ck_extension(prob.f0)
-    g = invert_trace_operator(c, prob.f1 - base.trace(c))
-    h_shifted = base + odd_ck_extension(g)
-    return h_shifted.shift_t(-prob.a)
+    inverse = _inverse_trace_series(prob.b - prob.a, max(_length(prob.f0), _length(prob.f1)))
+    u0 = u1 = MultiPoly.zero(prob.d)
+    # f0 enters u0 through S_b and u1 through -C_b; f1 through -S_a and C_a
+    for f, wall, sign in ((prob.f0, prob.b, 1), (prob.f1, prob.a, -1)):
+        if f.is_zero:
+            continue
+        n = _length(f)
+        series = [(-sign, _wall_series(wall, n, 0))]
+        if wall:  # else S_wall = 0
+            series.append((sign, _wall_series(wall, n, 1)))
+        parts = _series(f, [
+            _series_product(([s * v for v in nums], den), inverse, n)
+            for s, (nums, den) in series
+        ])
+        u1 += parts[0]
+        if wall:
+            u0 += parts[1]
+    return even_ck_extension(u0) + odd_ck_extension(u1)
 
 
 def verify_boundary(h: MultiPoly, prob: SlabProblem) -> VerificationReport:

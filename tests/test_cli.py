@@ -115,6 +115,48 @@ def test_solve_slab_malformed_file(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (command, obj, err)
 
 
+def test_verify_bundle_of_another_dimension_exits_2(tmp_path, capsys):
+    # an h in d = 2 against a d = 1 problem is malformed input, also when
+    # both are zero and every residual would be zero in its own dimension
+    zero1 = {"d": 1, "terms": []}
+    y2 = {"d": 2, "terms": [{"coeff": "1", "exps": [0, 0, 1]}]}
+    slab_prob = {"a": "0", "b": "1", "d": 1, "f0": zero1, "f1": zero1}
+    bundles = [
+        {"kind": "diffeq", "problem": {"d": 1, "g": zero1}, "h": {"d": 2, "terms": []}},
+        {"kind": "diffeq", "problem": {"d": 1, "g": zero1}, "h": y2},
+        {"kind": "slab", "problem": slab_prob, "h": {"d": 2, "terms": []}},
+    ]
+    for bundle in bundles:
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["verify", "--input", str(path), "--quiet"]) == 2, bundle
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (bundle, err)
+
+
+def test_passing_commands_do_not_shift(monkeypatch, tmp_path):
+    # solve-slab works from the Cauchy data at t = 0 for any walls, and a
+    # passing difference check reads the Cauchy data of its residual
+    def shift_t(self, s):
+        raise AssertionError("shift_t called")
+
+    monkeypatch.setattr(MultiPoly, "shift_t", shift_t)
+    walls = tmp_path / "walls.json"
+    _, y1 = variables(1)
+    prob = slab.SlabProblem(F(-1, 2), F(4, 3), 1, y1 ** 6, y1 * y1 + MultiPoly.constant(1, 3))
+    walls.write_text(json.dumps(prob.to_json_dict()))
+    runs = [
+        ["solve-slab", "--input", fixture("slab_basic.json")],
+        ["solve-slab", "--input", str(walls)],
+        ["solve-diffeq", "--input", fixture("diffeq_basic.json")],
+        ["verify", "--input", fixture("verify_good.json")],
+        ["verify", "--input", fixture("verify_slab_good.json")],
+        ["oracle-compare", "--input", fixture("diffeq_oracle.json")],
+    ]
+    for argv in runs:
+        assert main(argv + ["--quiet"]) == 0, argv
+
+
 def test_solve_diffeq_basic(tmp_path):
     out = tmp_path / "solution.json"
     code = main(["solve-diffeq", "--input", fixture("diffeq_basic.json"), "--output", str(out)])

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slab_harmonics import (
     DiffEqProblem,
@@ -18,7 +20,7 @@ from slab_harmonics import (
     variables,
     verify_difference,
 )
-from slab_harmonics.randgen import random_harmonic_poly, random_y_harmonic
+from slab_harmonics.randgen import random_harmonic_poly, random_tfree_poly, random_y_harmonic
 
 F = Fraction
 
@@ -198,6 +200,64 @@ def test_verify_difference_reports():
     assert rep.residuals["difference"] == MultiPoly.constant(1, 1)
     # a y-harmonic t-free addend keeps the solution valid
     assert verify_difference(h + y1.scale(F(5, 7)), g).passed
+
+
+def test_verify_difference_catches_a_harmonic_t_dependent_tamper():
+    # h + (t^2 - y1^2) is harmonic, and its residual 2t + 1 is seen in the
+    # Cauchy data at t = 0
+    t, y1 = variables(1)
+    g = t * t - y1 * y1 + t
+    h = solve(DiffEqProblem(g, 1)).h + t * t - y1 * y1
+    rep = verify_difference(h, g)
+    assert not rep.passed
+    assert rep.residuals["difference"] == t.scale(2) + MultiPoly.constant(1, 1)
+    assert rep.residuals["laplacian"].is_zero
+
+
+def test_verify_difference_checks_that_g_is_harmonic():
+    # r = -t^2 has zero Cauchy data at t = 0 but is not harmonic, so the
+    # check on the traces alone would pass it
+    t, y1 = variables(1)
+    g = t * t - y1 * y1 + t
+    h = solve(DiffEqProblem(g, 1)).h
+    rep = verify_difference(h, g + t * t)
+    assert not rep.passed
+    assert rep.residuals["difference"] == -(t * t)
+
+
+@st.composite
+def difference_cases(draw):
+    """(h, g): a solution for a harmonic g, tampered or not, or polynomials
+    drawn at random; g is made non-harmonic in some cases."""
+    d = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    t, y1 = variables(d)[:2]
+    g = random_harmonic_poly(rng, d, 6)
+    h = solve(DiffEqProblem(g, d)).h
+    tampers = {
+        "none": MultiPoly.zero(d),
+        "harmonic": (t * t - y1 * y1).scale(F(rng.randint(1, 5), rng.randint(1, 3))),
+        "y_harmonic": random_y_harmonic(rng, d, 4),
+        "non_harmonic": random_tfree_poly(rng, d, 5),
+        "t_cubed": t ** 3,
+    }
+    h = h + tampers[draw(st.sampled_from(sorted(tampers)))]
+    if draw(st.booleans()):
+        h = random_harmonic_poly(rng, d, 6) + h.scale(draw(st.sampled_from([0, 1])))
+    if draw(st.booleans()):
+        g = g + draw(st.sampled_from([t * t, t * t * y1, random_tfree_poly(rng, d, 4)]))
+    return h, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(difference_cases())
+def test_verify_difference_reports_the_full_residuals(case):
+    h, g = case
+    rep = verify_difference(h, g)
+    difference = h.shift_t(1) - h - g
+    assert rep.residuals["difference"] == difference
+    assert rep.residuals["laplacian"] == h.laplacian()
+    assert rep.passed == (difference.is_zero and h.laplacian().is_zero)
 
 
 def test_compare_solutions():

@@ -6,11 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slab_harmonics import (
     MultiPoly,
     SlabProblem,
+    even_ck_extension,
     even_reflection_identity,
+    invert_trace_operator,
     odd_ck_extension,
     odd_wall_reflection,
     solve_slab,
@@ -68,6 +72,39 @@ def test_solve_slab_random_contract():
         assert h.laplacian() == MultiPoly.zero(d)
         assert h.trace(prob.a) == prob.f0
         assert h.trace(prob.b) == prob.f1
+
+
+def _shifted_composition(prob):
+    # the construction solve_slab replaced: even CK extension of f0 in
+    # s = t - a, an odd one fitted to f1 at s = b - a, then t <- t - a
+    c = prob.b - prob.a
+    base = even_ck_extension(prob.f0)
+    g = invert_trace_operator(c, prob.f1 - base.trace(c))
+    return (base + odd_ck_extension(g)).shift_t(-prob.a)
+
+
+@st.composite
+def slab_problems(draw):
+    d = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    walls = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    a = draw(st.one_of(st.just(F(0)), st.just(F(-3, 2)), walls))
+    b = a + draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4))
+    f0, f1 = (
+        draw(st.sampled_from([
+            MultiPoly.zero(d),
+            MultiPoly.constant(d, draw(walls)),
+            random_tfree_poly(rng, d, (10, 8, 6, 5)[d - 1]),
+        ]))
+        for _ in range(2)
+    )
+    return SlabProblem(a, b, d, f0, f1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(slab_problems())
+def test_solve_slab_equals_the_shifted_composition(prob):
+    assert solve_slab(prob) == _shifted_composition(prob)
 
 
 def test_solve_slab_linearity():
@@ -185,9 +222,10 @@ def test_zero_data_rigidity():
 
 
 def test_high_degree_slab_golden_digest():
-    # d = 1, y^200 at t = 1/3 and 0 at t = 2: a shift_t and traces of degree
-    # 200 in t.  sha256 of the canonical JSON of h, pinned from the
-    # Fraction-per-term shift_t and trace that the integer kernels replaced.
+    # d = 1, y^200 at t = 1/3 and 0 at t = 2: 101 Laplacian powers and
+    # coefficients of hundreds of bits.  sha256 of the canonical JSON of h,
+    # pinned from the Fraction-per-term shift_t and trace that the integer
+    # kernels, and then the Cauchy data at t = 0, replaced.
     prob = SlabProblem(F(1, 3), F(2), 1, MultiPoly(1, {(0, 200): 1}), MultiPoly.zero(1))
     h = solve_slab(prob)
     assert verify_boundary(h, prob).passed
