@@ -18,8 +18,11 @@ appear only at the edges: scalar arguments, the `terms` view and the value of
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from collections.abc import Mapping, Sequence
+from itertools import chain, repeat
+from operator import itemgetter, mul
 from typing import Union
 
 Scalar = Union[Fraction, int, str]
@@ -110,7 +113,9 @@ def _ratio_str(v: int, den: int) -> str:
 class MultiPoly:
     """Immutable sparse multivariate polynomial over the rationals."""
 
-    __slots__ = ("d", "_num", "_den")
+    # _lap holds the Laplacian once laplacian() has computed it; the slot
+    # stays empty until then, so building a polynomial writes nothing to it
+    __slots__ = ("d", "_num", "_den", "_lap")
 
     def __init__(self, d: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
         _check_dim(d)
@@ -286,8 +291,14 @@ class MultiPoly:
         return MultiPoly._reduced(self.d, out, self._den)
 
     def laplacian(self) -> "MultiPoly":
-        """Sum of second partials over all d+1 variables."""
-        return MultiPoly._reduced(self.d, _laplacian_num(self._num, 0), self._den)
+        """Sum of second partials over all d+1 variables, computed on the
+        first call and kept: a polynomial never changes."""
+        try:
+            return self._lap
+        except AttributeError:
+            lap = MultiPoly._reduced(self.d, _laplacian_num(self._num, 0), self._den)
+            object.__setattr__(self, "_lap", lap)
+            return lap
 
     def laplacian_y(self) -> "MultiPoly":
         """Sum of second partials over the y-variables only."""
@@ -346,27 +357,33 @@ class MultiPoly:
 
     def trace(self, t0: Scalar) -> "MultiPoly":
         """Restrict t = t0; the result has zero t-exponent everywhere."""
-        t0 = _frac(t0)
-        if t0 == 0:
-            return MultiPoly._reduced(
-                self.d, {e: v for e, v in self._num.items() if not e[0]}, self._den
-            )
+        return self.traces(t0)[0]
+
+    def traces(self, *points: Scalar) -> list["MultiPoly"]:
+        """[trace(t0) for t0 in points], grouping the terms by y-monomial once."""
+        points = [_frac(t0) for t0 in points]
         if not self._num:
-            return self
-        p, q = t0.numerator, t0.denominator
+            return [self] * len(points)
+        if not any(points):
+            free = {e: v for e, v in self._num.items() if not e[0]}
+            return [MultiPoly._reduced(self.d, free, self._den)] * len(points)
         fibres = _t_fibres(self._num)
         top = max(len(a) for a in fibres.values()) - 1
-        out: Numerators = {}
-        for rest, a in fibres.items():
-            # homogeneous Horner: v = sum_k a_k p^k q^(m-k), over q^m
-            v = a[-1]
-            qk = 1
-            for k in range(len(a) - 2, -1, -1):
-                qk *= q
-                v = v * p + a[k] * qk
-            if v:
-                out[(0,) + rest] = v * q ** (top + 1 - len(a))
-        return MultiPoly._reduced(self.d, out, self._den * q**top)
+        out = []
+        for t0 in points:
+            p, q = t0.numerator, t0.denominator
+            num: Numerators = {}
+            for rest, a in fibres.items():
+                # homogeneous Horner: v = sum_k a_k p^k q^(m-k), over q^m
+                v = a[-1]
+                qk = 1
+                for k in range(len(a) - 2, -1, -1):
+                    qk *= q
+                    v = v * p + a[k] * qk
+                if v:
+                    num[(0,) + rest] = v * q ** (top + 1 - len(a))
+            out.append(MultiPoly._reduced(self.d, num, self._den * q**top))
+        return out
 
     # -- evaluation ----------------------------------------------------------
 
@@ -422,25 +439,21 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "MultiPoly":
-        """Read the polynomial schema; any malformed content raises ValueError."""
+        """Read the polynomial schema; any malformed content raises ValueError.
+
+        The terms are checked in a few passes over all of them at once (see
+        _json_terms).  Only when one of those checks fails are they read
+        again one by one, to raise the error of the first malformed term.
+        """
         d = _json_dim(obj, "a polynomial", {"d", "terms"})
         _check_dim(d)
         items = obj["terms"]
         if not isinstance(items, list):
             raise ValueError(f"'terms' must be a list, got {items!r}")
-        terms = []
-        for item in items:
-            if not isinstance(item, Mapping):
-                raise ValueError(f"a term must be an object, got {item!r}")
-            exps = item["exps"]
-            if type(exps) is not list or not {int}.issuperset(map(type, exps)):  # no bool
-                raise ValueError(f"exponents must be a list of integers: {exps!r}")
-            exps = tuple(exps)
-            _check_exps(d, exps)
-            terms.append((exps, *_json_ratio(item["coeff"])))
-            if len(item) != 2:  # both keys were read, so another is present
-                raise ValueError(f"a term takes only 'coeff' and 'exps', got keys {sorted(item)}")
-        return cls._reduced(d, *_over_one_denominator(terms))
+        terms = _json_terms(d, items)
+        if terms is None:
+            _raise_first_bad_term(d, items)
+        return cls._reduced(d, *terms)
 
     # -- display ---------------------------------------------------------------
 
@@ -506,6 +519,75 @@ def _json_ratio(value: object) -> tuple[int, int]:
     if not q:
         raise ValueError(f"invalid rational {value!r}: zero denominator")
     return int(num), q
+
+
+# the schema form of a rational: ASCII digits, a minus sign only in front of p
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_COEFF, _EXPS = itemgetter("coeff"), itemgetter("exps")
+
+
+def _json_terms(d: int, items: list) -> tuple[Numerators, int] | None:
+    """The numerators and denominator of the JSON terms `items` of a
+    polynomial in dimension d, or None if a term is malformed (as
+    _raise_first_bad_term would find) or holds an integer over Python's
+    int <-> str digit limit.
+
+    Each check is one pass over all terms in C: their types, key counts and
+    keys, the exponent lists and, flattened, their entries, and the
+    coefficients against the schema's grammar.  Each distinct denominator
+    string is parsed once and given its multiplier to the lcm once.
+    """
+    if not ({dict}.issuperset(map(type, items)) or all(map(isinstance, items, repeat(Mapping)))):
+        return None
+    if not {2}.issuperset(map(len, items)):
+        return None
+    try:
+        exps, coeffs = list(map(_EXPS, items)), list(map(_COEFF, items))
+        if not all(map(_RATIONAL.fullmatch, coeffs)):
+            return None
+    except (KeyError, TypeError):  # a key is missing; a coefficient is no string
+        return None
+    if not ({list}.issuperset(map(type, exps)) and {d + 1}.issuperset(map(len, exps))):
+        return None
+    flat = list(chain.from_iterable(exps))
+    if not ({int}.issuperset(map(type, flat)) and min(flat, default=0) >= 0):  # no bool
+        return None
+    parts = list(map(str.partition, coeffs, repeat("/")))
+    dens = list(map(itemgetter(2), parts))  # "" for an integer
+    try:
+        qs = {s: int(s) if s else 1 for s in set(dens)}
+        nums = list(map(int, map(itemgetter(0), parts)))
+    except ValueError:  # over the digit limit
+        return None
+    if not all(qs.values()):
+        return None
+    den = math.lcm(*qs.values())
+    scale = {s: den // q for s, q in qs.items()}
+    keys = list(map(tuple, exps))
+    values = list(map(mul, nums, map(scale.__getitem__, dens)))
+    num = dict(zip(keys, values))
+    if len(num) < len(keys):  # a repeated exponent vector: sum its terms
+        num = dict.fromkeys(keys, 0)
+        for e, v in zip(keys, values):
+            num[e] += v
+    if not all(num.values()):
+        num = {e: v for e, v in num.items() if v}
+    return num, den
+
+
+def _raise_first_bad_term(d: int, items: list) -> None:
+    """Read the JSON terms one by one, each key in turn, and raise the
+    error of the first malformed term (KeyError for a missing key)."""
+    for item in items:
+        if not isinstance(item, Mapping):
+            raise ValueError(f"a term must be an object, got {item!r}")
+        exps = item["exps"]
+        if type(exps) is not list or not {int}.issuperset(map(type, exps)):  # no bool
+            raise ValueError(f"exponents must be a list of integers: {exps!r}")
+        _check_exps(d, tuple(exps))
+        _json_ratio(item["coeff"])
+        if len(item) != 2:  # both keys were read, so another is present
+            raise ValueError(f"a term takes only 'coeff' and 'exps', got keys {sorted(item)}")
 
 
 def _json_rational(value: object) -> Fraction:

@@ -170,9 +170,22 @@ def test_solve_diffeq_basic(tmp_path):
 
 
 def test_solve_diffeq_nonharmonic(capsys):
-    code = main(["solve-diffeq", "--input", fixture("diffeq_nonharmonic.json"), "--quiet"])
-    assert code == 2
-    assert "harmonic" in capsys.readouterr().err
+    # the Laplacian that refuses g is kept on g for verify_difference
+    for command in ("solve-diffeq", "oracle-compare"):
+        code = main([command, "--input", fixture("diffeq_nonharmonic.json"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: right-hand side must be harmonic; laplacian = 2\n"
+
+
+@pytest.mark.parametrize("name", ["verify_good.json", "verify_slab_good.json"])
+def test_verify_non_harmonic_tamper_reports_its_laplacian(name, tmp_path, capsys):
+    bundle = json.loads(Path(fixture(name)).read_text())
+    t, y1 = variables(1)
+    bundle["h"] = (MultiPoly.from_json_dict(bundle["h"]) + t * t).to_json_dict()
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    assert main(["verify", "--input", str(path)]) == 1
+    assert "  residual laplacian: 2\n" in capsys.readouterr().err
 
 
 def test_verify_good(capsys):

@@ -3,7 +3,9 @@
 Whatever the file holds, `main` returns 0, 1 or 2, nothing but argparse's
 SystemExit(2) escapes it, and stderr never shows a traceback.  Exponents and
 the sampling grid stay small and `d` is small or 10**30, so each command is
-quick; coefficients may have a few thousand digits.
+quick; coefficients may have a few thousand digits.  A document of the kind
+a command reads, with one term of one polynomial spoiled, exits 2 with one
+`error:` line through every command.
 """
 
 import contextlib
@@ -133,14 +135,11 @@ def case(draw):
     text = json.dumps(doc)
     if draw(st.integers(0, 9)) == 0:  # a cut or damaged file
         text = text[: draw(st.integers(0, len(text)))]
-    grid = ",".join(["t=0:1:0.5"] + [f"y{j}=-1:1:1" for j in range(1, d + 1)])
-    return command, text, grid
+    return command, text, _grid(d)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case())
-def test_cli_never_crashes(case):
-    command, text, grid = case
+def _run(command, text, grid):
+    """main's exit code and stderr on an input file holding `text`."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "in.json", Path(tmp) / "out"
         path.write_text(text, encoding="utf-8")
@@ -154,8 +153,56 @@ def test_cli_never_crashes(case):
             except SystemExit as exc:  # argparse only
                 code = exc.code
                 assert code == 2
-        assert code in (0, 1, 2), code
-        assert "Traceback" not in stderr.getvalue()
-        if code == 2:
-            err = stderr.getvalue()
-            assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code, stderr.getvalue()
+
+
+def _grid(d):
+    return ",".join(["t=0:1:0.5"] + [f"y{j}=-1:1:1" for j in range(1, d + 1)])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case())
+def test_cli_never_crashes(case):
+    code, err = _run(*case)
+    assert code in (0, 1, 2), code
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _term_lists(node):
+    """Every "terms" list of a polynomial in a JSON document."""
+    if isinstance(node, dict):
+        if isinstance(node.get("terms"), list):
+            yield node["terms"]
+        for value in node.values():
+            yield from _term_lists(value)
+
+
+@st.composite
+def bad_term_case(draw):
+    """A command and a document of the kind it reads, with one term of one
+    of its polynomials spoiled: a coefficient off the grammar, an exponent
+    that is a bool, a float or negative, or a third key."""
+    command = draw(st.sampled_from(COMMANDS))
+    d = 1 if command == "oracle-compare" else draw(st.integers(1, 3))
+    doc = draw(DOCUMENTS[command](d))
+    terms = draw(st.sampled_from(list(_term_lists(doc))))
+    if not terms:
+        terms.append({"coeff": "1", "exps": [0] * (d + 1)})
+    term = draw(st.sampled_from(terms))
+    spoil = draw(st.sampled_from(["coeff", "exps", "key"]))
+    if spoil == "coeff":
+        term["coeff"] = draw(st.sampled_from(["+1", " 1", "1.5", "1\n2", "\u0663", "1/0", "1/", "2e3", "0x1", "--1", ""]))
+    elif spoil == "exps":
+        term["exps"][draw(st.integers(0, d))] = draw(st.sampled_from([True, False, 1.0, -1]))
+    else:
+        term[draw(st.sampled_from(["x", "coeffs", "d"]))] = draw(junk)
+    return command, json.dumps(doc), _grid(d)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bad_term_case())
+def test_a_malformed_term_exits_2_in_one_line(case):
+    code, err = _run(*case)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)

@@ -1,7 +1,10 @@
 """Core polynomial arithmetic: worked examples plus algebraic property tests."""
 
 import math
+import sys
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +210,16 @@ def test_shift_t_and_trace_identities(p, s, ys):
     assert p.trace(s).eval_exact([0] + y) == p.eval_exact([s] + y)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(t_heavy_poly(), st.integers(1, 4).map(MultiPoly.zero)), shifts, shifts)
+def test_traces_equal_one_trace_per_point(p, a, b):
+    # shifts holds 0 and negative walls; the zero polynomial has no fibres
+    for points in ([a, b], [a, a], [0, b], [b, 0, -abs(a)], [0, 0], [a], []):
+        got = p.traces(*points)
+        assert got == [p.trace(t0) for t0 in points]
+        assert [r.terms for r in got] == [_trace_reference(p.terms, t0) for t0 in points]
+
+
 # -- algebraic properties ----------------------------------------------------
 
 
@@ -373,6 +386,8 @@ def test_integer_laplacian_matches_fraction_reference(p):
         got = lap.terms
         assert got == _laplacian_reference(p.terms, first)
         assert all(type(c) is Fraction and c for c in got.values())
+    # the full Laplacian is computed once and kept
+    assert p.laplacian() is p.laplacian()
     # cancellation to zero: t^2 y^2 - (t^4 + y^4)/6 is harmonic at every d
     d = p.d
     h = MultiPoly(d, {(2, 2) + (0,) * (d - 1): 1, (4,) + (0,) * d: F(-1, 6), (0, 4) + (0,) * (d - 1): F(-1, 6)})
@@ -419,6 +434,131 @@ def test_json_reader_drops_a_term_that_cancels():
         {"coeff": "1/2", "exps": [1, 0]}, {"coeff": "3", "exps": [0, 1]}, {"coeff": "-1/2", "exps": [1, 0]},
     ]}
     assert MultiPoly.from_json_dict(obj).terms == {(0, 1): F(3)}
+
+
+def _reader_reference(obj):
+    """The reader read term by term, each key in turn, summing Fractions:
+    the terms of the polynomial, or the first malformed term's error."""
+    d, items = obj["d"], obj["terms"]
+    out = {}
+    for item in items:
+        if not isinstance(item, Mapping):
+            raise ValueError(f"a term must be an object, got {item!r}")
+        exps = item["exps"]
+        if type(exps) is not list or not {int}.issuperset(map(type, exps)):
+            raise ValueError(f"exponents must be a list of integers: {exps!r}")
+        exps = tuple(exps)
+        if len(exps) != d + 1:
+            raise ValueError(f"exponent vector {exps} has length {len(exps)}, expected {d + 1}")
+        if min(exps) < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        value = item["coeff"]
+        if not isinstance(value, str):
+            raise ValueError(f"a rational must be a string \"p/q\", got {value!r}")
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if not (digits.isdigit() and value.isascii() and (den.isdigit() or not slash)):
+            raise ValueError(f"invalid rational {value!r}: expected \"p/q\" or \"p\" in decimal digits")
+        q = int(den) if slash else 1
+        if not q:
+            raise ValueError(f"invalid rational {value!r}: zero denominator")
+        out[exps] = out.get(exps, 0) + Fraction(int(num), q)
+        if len(item) != 2:
+            raise ValueError(f"a term takes only 'coeff' and 'exps', got keys {sorted(item)}")
+    return {e: c for e, c in out.items() if c}
+
+
+# (kind, value) of each way _spoil_term makes a term malformed, or, for
+# "mapping", valid in a Mapping that is no dict
+SPOILS = [
+    *(("exp", v) for v in (True, False, 1.0, -1, "1", None)),
+    ("exps", "short"), ("exps", "long"), ("exps", "tuple"), ("exps", None),
+    ("key", "x"), ("missing", "coeff"), ("missing", "exps"), ("mapping", None),
+    *(("coeff", v) for v in ("+1", " 1", "1.5", "1\n2", "\u0663", "1/0", "-0/0", "1/", "/2", "-", "", "1/-2", "\u00b2", 1, None)),
+    *(("object", v) for v in ([0, 1], "1", None, 3)),
+    ("coeff", "7" * 700), ("coeff", "1/" + "3" * 700),  # over the digit limit set below
+]
+
+
+def _spoil_term(term, kind, value, k):
+    """A copy of the JSON term spoiled as `kind` says, at exponent k."""
+    term = dict(term, exps=list(term["exps"]))
+    if kind == "exp":
+        term["exps"][k % len(term["exps"])] = value
+    elif kind == "exps":
+        exps = term["exps"]
+        term["exps"] = {"short": exps[:-1], "long": exps + [0], "tuple": tuple(exps)}.get(value)
+    elif kind == "key":
+        term[value] = 1
+    elif kind == "missing":
+        del term[value]
+    elif kind == "mapping":
+        return MappingProxyType(term)
+    elif kind == "coeff":
+        term["coeff"] = value
+    else:
+        return value
+    return term
+
+
+@st.composite
+def reader_case(draw):
+    """A valid JSON polynomial in some term order, with some terms repeated
+    to cancel, and up to two terms spoiled."""
+    p = draw(big_denominator_poly())
+    obj = p.to_json_dict()
+    terms = obj["terms"]
+    if terms and draw(st.booleans()):
+        for t in draw(st.lists(st.sampled_from(terms), max_size=3)):
+            terms.append({"coeff": str(-Fraction(t["coeff"])), "exps": t["exps"]})
+    n = draw(st.sampled_from([0, 1, 1, 2]))
+    terms += [{"coeff": "1", "exps": [0] * (p.d + 1)}] * draw(st.integers(max(n - len(terms), 0), n))
+    terms = draw(st.permutations(terms))
+    for i in draw(st.permutations(range(len(terms))))[:n]:
+        terms[i] = _spoil_term(terms[i], *draw(st.sampled_from(SPOILS)), draw(st.integers(0, 4)))
+    obj["terms"] = terms
+    return obj
+
+
+def _read_both(obj):
+    """(bulk reader, reference) outcomes: terms, or error type and message,
+    under Python's smallest int <-> str digit limit."""
+    outcomes = []
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for read in (lambda o: MultiPoly.from_json_dict(o).terms, _reader_reference):
+            try:
+                outcomes.append(read(obj))
+            except (KeyError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    finally:
+        sys.set_int_max_str_digits(old)
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader_case())
+def test_json_reader_matches_the_per_term_reference(obj):
+    bulk, reference = _read_both(obj)
+    assert bulk == reference
+
+
+@pytest.mark.parametrize("spoil", SPOILS, ids=repr)
+def test_json_reader_names_the_first_bad_term(spoil):
+    good = [{"coeff": "1/2", "exps": [1, 0, 2]}, {"coeff": "-3", "exps": [0, 1, 0]}]
+    cases = [
+        [],
+        good + [{"coeff": "2/4", "exps": [0, 1, 0]}, {"coeff": "-1/2", "exps": [1, 0, 2]}],
+        [_spoil_term(good[0], *spoil, 1)] + good,
+        good + [_spoil_term(good[1], *spoil, 2)],
+        # a term spoiled otherwise comes first, and is named
+        [_spoil_term(good[1], "coeff", "1/0", 0), _spoil_term(good[0], *spoil, 0)],
+    ]
+    for terms in cases:
+        bulk, reference = _read_both({"d": 2, "terms": terms})
+        assert bulk == reference
+    assert reference == (ValueError, "invalid rational '1/0': zero denominator")
 
 
 def test_public_constructor_still_validates():
