@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from collections.abc import Mapping, Sequence
 from itertools import chain, repeat
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Union
 
 Scalar = Union[Fraction, int, str]
@@ -76,30 +76,46 @@ def _check_dim(d: int) -> None:
 
 def _laplacian_num(num: Numerators, first: int) -> Numerators:
     """Sum of second partials over variables first..d, on numerators: the
-    factors n(n-1) are integers, so the denominator does not change."""
+    factors n(n-1) are integers, so the denominator does not change.
+
+    Each variable's second partial is one dict comprehension: it maps
+    distinct terms to distinct terms and nonzero values to nonzero values,
+    so only the sum over several variables can merge or cancel terms.  Each
+    part is summed into the larger of itself and the sum so far.
+    """
     out: Numerators = {}
-    for exps, a in num.items():
-        for var in range(first, len(exps)):
-            n = exps[var]
-            if n > 1:
-                e = exps[:var] + (n - 2,) + exps[var + 1 :]
-                out[e] = out.get(e, 0) + a * (n * (n - 1))
-    return {e: v for e, v in out.items() if v}
+    for var in range(first, len(next(iter(num), ()))):
+        part = {
+            e[:var] + (n - 2,) + e[var + 1 :]: v * (n * (n - 1))
+            for e, v in num.items()
+            if (n := e[var]) > 1
+        }
+        if len(part) > len(out):
+            out, part = part, out
+        for e, v in part.items():
+            w = out.get(e)
+            if w is None:
+                out[e] = v
+            elif w + v:
+                out[e] = w + v
+            else:
+                del out[e]
+    return out
 
 
 def _t_fibres(num: Numerators) -> dict[tuple[int, ...], list[int]]:
     """Group numerators by y-monomial: for each y-exponent tuple, the
-    numerators a_0..a_m of its t-coefficients (a_m != 0)."""
-    fibres: dict[tuple[int, ...], dict[int, int]] = {}
+    numerators a_0..a_m of its t-coefficients (a_m != 0), in one pass."""
+    fibres: dict[tuple[int, ...], list[int]] = {}
     for exps, v in num.items():
-        fibres.setdefault(exps[1:], {})[exps[0]] = v
-    out: dict[tuple[int, ...], list[int]] = {}
-    for rest, items in fibres.items():
-        a = [0] * (max(items) + 1)
-        for k, v in items.items():
-            a[k] = v
-        out[rest] = a
-    return out
+        k = exps[0]
+        a = fibres.get(rest := exps[1:])
+        if a is None:
+            fibres[rest] = a = [0] * (k + 1)
+        elif len(a) <= k:
+            a += [0] * (k + 1 - len(a))
+        a[k] = v
+    return fibres
 
 
 def _ratio_str(v: int, den: int) -> str:
@@ -113,9 +129,12 @@ def _ratio_str(v: int, den: int) -> str:
 class MultiPoly:
     """Immutable sparse multivariate polynomial over the rationals."""
 
-    # _lap holds the Laplacian once laplacian() has computed it; the slot
-    # stays empty until then, so building a polynomial writes nothing to it
-    __slots__ = ("d", "_num", "_den", "_lap")
+    # _lap holds the Laplacian once laplacian() has computed it, or the zero
+    # polynomial once is_harmonic() has found it harmonic; _fib holds the
+    # grouping by y-monomial (_t_fibres) once a method has used it.  Both
+    # slots stay empty until then, so building a polynomial writes nothing
+    # to them.
+    __slots__ = ("d", "_num", "_den", "_lap", "_fib")
 
     def __init__(self, d: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
         _check_dim(d)
@@ -300,6 +319,44 @@ class MultiPoly:
             object.__setattr__(self, "_lap", lap)
             return lap
 
+    def is_harmonic(self) -> bool:
+        """Whether the Laplacian is zero, decided on the y-monomial grouping
+        without building the Laplacian.
+
+        For y-exponents b, the Laplacian's t-numerators at y^b are those of
+        d2/dt2 on the fibre of b, (k+2)(k+1) a_(k+2) at t^k, plus, for each
+        y-variable v, n(n-1) times the fibre of b + 2e_v, with n the v-th
+        exponent of b + 2e_v.  They are summed as lists, one per fibre; the
+        polynomial is harmonic iff every sum is zero.  A harmonic result is
+        kept as a zero Laplacian.
+        """
+        try:
+            return self._lap.is_zero
+        except AttributeError:
+            pass
+        fibres = self._fibres()
+        top = max(map(len, fibres.values()), default=2) - 1
+        weights = [(k + 2) * (k + 1) for k in range(top - 1)]
+        sums = {rest: list(map(mul, weights, a[2:])) for rest, a in fibres.items()}
+        for rest, a in fibres.items():
+            for v, n in enumerate(rest):
+                if n > 1:
+                    key = rest[:v] + (n - 2,) + rest[v + 1 :]
+                    c = n * (n - 1)
+                    s = sums.get(key)
+                    if s is None:
+                        sums[key] = [c * x for x in a]
+                    elif len(s) >= len(a):
+                        s[: len(a)] = map(add, s, map(mul, a, repeat(c)))
+                    else:
+                        part = [c * x for x in a]
+                        part[: len(s)] = map(add, part, s)
+                        sums[key] = part
+        if any(map(any, sums.values())):
+            return False
+        object.__setattr__(self, "_lap", MultiPoly._reduced(self.d, {}, 1))
+        return True
+
     def laplacian_y(self) -> "MultiPoly":
         """Sum of second partials over the y-variables only."""
         return MultiPoly._reduced(self.d, _laplacian_num(self._num, 1), self._den)
@@ -318,7 +375,7 @@ class MultiPoly:
         if s == 0 or not self._num:
             return self
         p, q = s.numerator, s.denominator
-        fibres = _t_fibres(self._num)
+        fibres = _t_fibres(self._num)  # a fresh grouping: the loop rewrites its lists
         top = max(len(a) for a in fibres.values()) - 1
         out: Numerators = {}
         for rest, a in fibres.items():
@@ -367,7 +424,7 @@ class MultiPoly:
         if not any(points):
             free = {e: v for e, v in self._num.items() if not e[0]}
             return [MultiPoly._reduced(self.d, free, self._den)] * len(points)
-        fibres = _t_fibres(self._num)
+        fibres = self._fibres()
         top = max(len(a) for a in fibres.values()) - 1
         out = []
         for t0 in points:
@@ -384,6 +441,16 @@ class MultiPoly:
                     num[(0,) + rest] = v * q ** (top + 1 - len(a))
             out.append(MultiPoly._reduced(self.d, num, self._den * q**top))
         return out
+
+    def _fibres(self) -> dict[tuple[int, ...], list[int]]:
+        """The grouping _t_fibres(numerators), built on the first call and
+        kept; callers must not change its lists."""
+        try:
+            return self._fib
+        except AttributeError:
+            fibres = _t_fibres(self._num)
+            object.__setattr__(self, "_fib", fibres)
+            return fibres
 
     # -- evaluation ----------------------------------------------------------
 
@@ -597,9 +664,8 @@ def _json_rational(value: object) -> Fraction:
 
 def _require_harmonic(p: MultiPoly, what: str) -> None:
     """Raise ValueError("<what>; laplacian = ...") unless p is harmonic."""
-    lap = p.laplacian()
-    if not lap.is_zero:
-        raise ValueError(f"{what}; laplacian = {lap}")
+    if not p.is_harmonic():
+        raise ValueError(f"{what}; laplacian = {p.laplacian()}")
 
 
 def variables(d: int) -> tuple[MultiPoly, ...]:

@@ -134,18 +134,14 @@ def test_verify_bundle_of_another_dimension_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (bundle, err)
 
 
-def test_passing_commands_do_not_shift(monkeypatch, tmp_path):
-    # solve-slab works from the Cauchy data at t = 0 for any walls, and a
-    # passing difference check reads the Cauchy data of its residual
-    def shift_t(self, s):
-        raise AssertionError("shift_t called")
-
-    monkeypatch.setattr(MultiPoly, "shift_t", shift_t)
+def _passing_runs(tmp_path):
+    """Commands that exit 0: solve-slab on slab_basic.json and on walls
+    (-1/2, 4/3), solve-diffeq, verify on both good bundles, oracle-compare."""
     walls = tmp_path / "walls.json"
     _, y1 = variables(1)
     prob = slab.SlabProblem(F(-1, 2), F(4, 3), 1, y1 ** 6, y1 * y1 + MultiPoly.constant(1, 3))
     walls.write_text(json.dumps(prob.to_json_dict()))
-    runs = [
+    return [
         ["solve-slab", "--input", fixture("slab_basic.json")],
         ["solve-slab", "--input", str(walls)],
         ["solve-diffeq", "--input", fixture("diffeq_basic.json")],
@@ -153,7 +149,27 @@ def test_passing_commands_do_not_shift(monkeypatch, tmp_path):
         ["verify", "--input", fixture("verify_slab_good.json")],
         ["oracle-compare", "--input", fixture("diffeq_oracle.json")],
     ]
-    for argv in runs:
+
+
+def test_passing_commands_do_not_shift(monkeypatch, tmp_path):
+    # solve-slab works from the Cauchy data at t = 0 for any walls, and a
+    # passing difference check reads the Cauchy data of its residual
+    def shift_t(self, s):
+        raise AssertionError("shift_t called")
+
+    monkeypatch.setattr(MultiPoly, "shift_t", shift_t)
+    for argv in _passing_runs(tmp_path):
+        assert main(argv + ["--quiet"]) == 0, argv
+
+
+def test_passing_commands_build_no_laplacian(monkeypatch, tmp_path):
+    # harmonicity is decided on the y-monomial grouping; the Laplacian is
+    # built only for a failing report or an error message
+    def laplacian(self):
+        raise AssertionError("laplacian called")
+
+    monkeypatch.setattr(MultiPoly, "laplacian", laplacian)
+    for argv in _passing_runs(tmp_path):
         assert main(argv + ["--quiet"]) == 0, argv
 
 

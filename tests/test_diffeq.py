@@ -20,6 +20,7 @@ from slab_harmonics import (
     variables,
     verify_difference,
 )
+from slab_harmonics.diffeq import _cauchy_residuals_vanish
 from slab_harmonics.randgen import random_harmonic_poly, random_tfree_poly, random_y_harmonic
 
 F = Fraction
@@ -111,15 +112,21 @@ def test_solve_output_golden_digest():
     assert digest == "fb55e3cebcbe251f19fb641acc6290deb2da15f5d167dcad37824f5da1102ebb"
 
 
-def test_solve_takes_one_full_laplacian(monkeypatch):
-    # the only full Laplacian is the harmonicity check on the input g
+def test_solve_takes_no_full_laplacian(monkeypatch):
+    # harmonicity is decided on the y-monomial grouping; the Laplacian is
+    # built only for the message that refuses a non-harmonic g
     calls = []
     laplacian = MultiPoly.laplacian
     monkeypatch.setattr(MultiPoly, "laplacian", lambda p: calls.append(p) or laplacian(p))
     t, y1, y2 = variables(2)
     g = t ** 3 - (t * y1 * y1).scale(3) + y1 * y2 + t
     solve(DiffEqProblem(g, 2))
-    assert calls == [g]
+    assert calls == []
+    bad = g + t * t * y2
+    with pytest.raises(ValueError) as info:
+        DiffEqProblem(bad, 2)
+    assert str(info.value) == "right-hand side must be harmonic; laplacian = 2*y2"
+    assert calls == [bad]
 
 
 def test_solve_odd_worked_example():
@@ -258,6 +265,61 @@ def test_verify_difference_reports_the_full_residuals(case):
     assert rep.residuals["difference"] == difference
     assert rep.residuals["laplacian"] == h.laplacian()
     assert rep.passed == (difference.is_zero and h.laplacian().is_zero)
+
+
+def _cauchy_reference(h, g):
+    # the single dict pass over the terms of h and g that the check on the
+    # y-monomial groupings replaced
+    h_num, h_den = h.as_integer_ratio()
+    g_num, g_den = g.as_integer_ratio()
+    sums = {}  # (order, y-exponents) -> numerator
+    for exps, v in h_num.items():
+        k = exps[0]
+        if k:
+            v *= g_den
+            key = (0,) + exps[1:]
+            sums[key] = sums.get(key, 0) + v
+            if k > 1:
+                key = (1,) + exps[1:]
+                sums[key] = sums.get(key, 0) + k * v
+    for exps, v in g_num.items():
+        if exps[0] < 2:
+            sums[exps] = sums.get(exps, 0) - v * h_den
+    return not any(sums.values())
+
+
+@st.composite
+def cauchy_cases(draw):
+    """(h, g) of one dimension: a solution and its g, either tampered by a
+    harmonic t-dependent or a y-only addend, or by a monomial in a
+    y-monomial that the other polynomial lacks."""
+    h, g = draw(difference_cases())
+    d = h.d
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    b = tuple(rng.randint(0, 2) for _ in range(d))
+    fresh = (7,) * d  # above every degree drawn here
+    k = draw(st.integers(0, 3))
+    c = F(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+    tampers = {
+        "none": (MultiPoly.zero(d), MultiPoly.zero(d)),
+        "h, y-only": (random_y_harmonic(rng, d, 4), MultiPoly.zero(d)),
+        "h, t^k y^fresh": (MultiPoly(d, {(k,) + fresh: c}), MultiPoly.zero(d)),
+        "g, t^k y^fresh": (MultiPoly.zero(d), MultiPoly(d, {(k,) + fresh: c})),
+        "g, t^k y^b": (MultiPoly.zero(d), MultiPoly(d, {(k,) + b: c})),
+        "h, t^k y^b": (MultiPoly(d, {(k,) + b: c}), MultiPoly.zero(d)),
+    }
+    dh, dg = tampers[draw(st.sampled_from(sorted(tampers)))]
+    return h + dh, g + dg
+
+
+@settings(max_examples=300, deadline=None)
+@given(cauchy_cases())
+def test_cauchy_residuals_match_the_per_term_pass(case):
+    h, g = case
+    got = _cauchy_residuals_vanish(h, g)
+    assert got == _cauchy_reference(h, g)
+    r = h.shift_t(1) - h - g
+    assert got == (r.trace(0).is_zero and r.derivative(0).trace(0).is_zero)
 
 
 def test_compare_solutions():

@@ -1,6 +1,7 @@
 """Core polynomial arithmetic: worked examples plus algebraic property tests."""
 
 import math
+import random
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
@@ -19,6 +20,8 @@ from slab_harmonics.laplace import (
     poisson_solve,
     trace_operator,
 )
+from slab_harmonics.poly import _laplacian_num, _t_fibres
+from slab_harmonics.randgen import random_harmonic_poly, random_rational, random_tfree_poly
 
 F = Fraction
 
@@ -392,6 +395,124 @@ def test_integer_laplacian_matches_fraction_reference(p):
     d = p.d
     h = MultiPoly(d, {(2, 2) + (0,) * (d - 1): 1, (4,) + (0,) * d: F(-1, 6), (0, 4) + (0,) * (d - 1): F(-1, 6)})
     assert h.laplacian().as_integer_ratio() == ({}, 1)
+
+
+def _fresh(p):
+    """A copy of p that keeps nothing yet: no Laplacian and no grouping."""
+    return MultiPoly(p.d, p.terms)
+
+
+def _monomial(d, exps, c=1):
+    return MultiPoly(d, {tuple(exps): c})
+
+
+@st.composite
+def harmonicity_cases(draw):
+    """Harmonic polynomials, with and without a one-monomial tamper, random
+    ones, t-free and pure-t ones, zero, and sums whose Laplacian cancels
+    across fibres (t^2 - y1^2) or within one (y1^2 - y2^2, no fibre of its
+    own at y^0), or leaves only a shorter t-part ((y1^2 - y2^2) t + t^2)."""
+    d = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    v = draw(st.integers(1, d))
+    w = draw(st.integers(1, d).filter(lambda w: w != v or d == 1))
+    t, *ys = variables(d)
+    y, z = ys[v - 1], ys[w - 1]
+    c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
+    m = _monomial(d, [0] + draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    p = draw(st.sampled_from([
+        random_harmonic_poly(rng, d, draw(st.integers(0, 9))),
+        draw(poly_st(d)),
+        random_tfree_poly(rng, d, 6),
+        MultiPoly(d, {(k,) + (0,) * d: random_rational(rng) for k in range(rng.randint(0, 6))}),
+        MultiPoly.zero(d),
+        (t * t - y * y).scale(c),
+        (y * y - z * z).scale(c),
+        (y * y - z * z) * m,
+        # at y^0 the t-part 2c meets two longer y-parts 2t and -2t
+        (y * y - z * z) * t + (t * t).scale(c),
+        t * t * y * y - (t ** 4 + y ** 4).scale(F(1, 6)),
+    ]))
+    if draw(st.booleans()):
+        exps = draw(st.lists(st.integers(0, 4), min_size=d + 1, max_size=d + 1))
+        p = p + _monomial(d, exps, c)
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(harmonicity_cases())
+def test_is_harmonic_matches_the_laplacian(p):
+    _check_is_harmonic(p)
+
+
+def test_is_harmonic_on_cancelling_sums():
+    # each case in every dimension and for every pair of y-variables, so
+    # that no cancellation across or within fibres depends on a draw
+    for d in range(1, 5):
+        t, *ys = variables(d)
+        for v in ys:
+            _check_is_harmonic(t * t - v * v)
+            _check_is_harmonic(t * t * v * v - (t ** 4 + v ** 4).scale(F(1, 6)))
+            for w in ys:
+                _check_is_harmonic(v * v - w * w)
+                _check_is_harmonic((v * v - w * w) * t + (t * t).scale(3))
+                _check_is_harmonic((v * v - w * w) * t ** 3 + (t ** 4 - w ** 4).scale(F(1, 5)))
+
+
+def _check_is_harmonic(p):
+    expected = not _laplacian_reference(p.terms, 0)
+    q = _fresh(p)
+    assert q.is_harmonic() == expected
+    assert q.is_harmonic() == expected  # the kept zero Laplacian, if harmonic
+    assert q.laplacian().terms == _laplacian_reference(p.terms, 0)
+    q = _fresh(p)
+    assert q.laplacian().is_zero == expected
+    assert q.is_harmonic() == expected  # read off the kept Laplacian
+    # shift_t groups afresh: the kept grouping it would rewrite stays whole
+    q = _fresh(p)
+    q.is_harmonic()
+    q.shift_t(F(3, 2))
+    assert q._fibres() == _t_fibres(q.as_integer_ratio()[0])
+    assert q.traces(F(3, 2)) == [_fresh(p).trace(F(3, 2))]
+
+
+def _laplacian_num_reference(num, first):
+    # the per-term loop over every variable that _laplacian_num replaced
+    out = {}
+    for exps, a in num.items():
+        for var in range(first, len(exps)):
+            n = exps[var]
+            if n > 1:
+                e = exps[:var] + (n - 2,) + exps[var + 1 :]
+                out[e] = out.get(e, 0) + a * (n * (n - 1))
+    return {e: v for e, v in out.items() if v}
+
+
+@st.composite
+def cancelling_numerators(draw):
+    """Nonzero integer numerators in d = 1..4 in which some terms' second
+    partials cancel: c x_v^2 m against -c x_w^2 m for a monomial m."""
+    d = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 5), min_size=d + 1, max_size=d + 1).map(tuple)
+    values = st.integers(-(10**30), 10**30).filter(bool)
+    num = dict(draw(st.lists(st.tuples(exps, values), max_size=12)))
+    for m, c in draw(st.lists(st.tuples(exps, values), max_size=4)):
+        v, w = draw(st.integers(0, d)), draw(st.integers(0, d))
+        for var, sign in ((v, 1), (w, -1)):
+            e = m[:var] + (m[var] + 2,) + m[var + 1 :]
+            num[e] = num.get(e, 0) + sign * c
+    return {e: a for e, a in num.items() if a}
+
+
+@settings(max_examples=300, deadline=None)
+@given(cancelling_numerators())
+def test_laplacian_num_matches_the_per_term_loop(num):
+    before = dict(num)
+    for first in (0, 1):
+        got = _laplacian_num(num, first)
+        assert got == _laplacian_num_reference(num, first)
+        assert all(got.values())
+    assert num == before
 
 
 @settings(max_examples=100, deadline=None)
