@@ -225,10 +225,9 @@ def harmonic_part(p: ComplexPoly, which: str = "real") -> MultiPoly:
                 # (n - j, j) determines n, so each key is written once
                 num[(n - j, j)] = math.comb(n, j) * v
     result = MultiPoly._reduced(1, num, p._den)
-    if not result.is_harmonic():
-        raise ArithmeticError(
-            f"harmonic_part produced non-harmonic output: {result.laplacian()}"
-        )
+    lap = result.laplacian()
+    if not lap.is_zero:
+        raise ArithmeticError(f"harmonic_part produced non-harmonic output: {lap}")
     return result
 
 

@@ -102,7 +102,7 @@ def _cauchy_residuals_vanish(h: MultiPoly, g: MultiPoly) -> bool:
     For a y-monomial with t-numerators a_0..a_m in h these are
     sum_(k>=1) a_k - g_0 and sum_(k>=2) k a_k - g_1, with g_0, g_1 its
     t^0 and t^1 numerators in g: read off the groupings of h and g by
-    y-monomial, which the harmonicity checks have built.
+    y-monomial, which their Laplacians have built.
     """
     h_fibres, g_fibres = h._fibres(), g._fibres()
     h_den, g_den = h._den, g._den
@@ -123,16 +123,19 @@ def verify_difference(h: MultiPoly, g: MultiPoly) -> VerificationReport:
     If h and g are harmonic and of one dimension, the residual
     r = h(t+1,y) - h(t,y) - g is harmonic, and a harmonic polynomial is zero
     iff r(0,y) = 0 and dr/dt(0,y) = 0 (CK uniqueness).  Those conditions
-    are checked first, on the groupings of h and g by y-monomial: the
-    harmonicity checks build no Laplacian, and the two traces of r are read
-    off the groupings.  Only when a condition or a trace fails is r expanded
-    with shift_t(1), so that a failing report holds the full residual, and
-    only when h is not harmonic is its Laplacian built.
+    are checked first, on the groupings of h and g by y-monomial that the
+    Laplacians of h and g are summed on.  Only when a condition fails is r
+    expanded with shift_t(1), so that a failing report holds the full
+    residual.
     """
     start = time.perf_counter()
-    harmonic = h.is_harmonic()
-    laplacian = MultiPoly.zero(h.d) if harmonic else h.laplacian()
-    if harmonic and h.d == g.d and g.is_harmonic() and _cauchy_residuals_vanish(h, g):
+    laplacian = h.laplacian()
+    if (
+        laplacian.is_zero
+        and h.d == g.d
+        and g.laplacian().is_zero
+        and _cauchy_residuals_vanish(h, g)
+    ):
         difference = MultiPoly.zero(h.d)
     else:
         difference = h.shift_t(1) - h - g

@@ -76,31 +76,15 @@ def _check_dim(d: int) -> None:
 
 def _laplacian_num(num: Numerators, first: int) -> Numerators:
     """Sum of second partials over variables first..d, on numerators: the
-    factors n(n-1) are integers, so the denominator does not change.
-
-    Each variable's second partial is one dict comprehension: it maps
-    distinct terms to distinct terms and nonzero values to nonzero values,
-    so only the sum over several variables can merge or cancel terms.  Each
-    part is summed into the larger of itself and the sum so far.
-    """
+    factors n(n-1) are integers, so the denominator does not change."""
     out: Numerators = {}
-    for var in range(first, len(next(iter(num), ()))):
-        part = {
-            e[:var] + (n - 2,) + e[var + 1 :]: v * (n * (n - 1))
-            for e, v in num.items()
-            if (n := e[var]) > 1
-        }
-        if len(part) > len(out):
-            out, part = part, out
-        for e, v in part.items():
-            w = out.get(e)
-            if w is None:
-                out[e] = v
-            elif w + v:
-                out[e] = w + v
-            else:
-                del out[e]
-    return out
+    for exps, a in num.items():
+        for var in range(first, len(exps)):
+            n = exps[var]
+            if n > 1:
+                e = exps[:var] + (n - 2,) + exps[var + 1 :]
+                out[e] = out.get(e, 0) + a * (n * (n - 1))
+    return {e: v for e, v in out.items() if v}
 
 
 def _t_fibres(num: Numerators) -> dict[tuple[int, ...], list[int]]:
@@ -129,9 +113,8 @@ def _ratio_str(v: int, den: int) -> str:
 class MultiPoly:
     """Immutable sparse multivariate polynomial over the rationals."""
 
-    # _lap holds the Laplacian once laplacian() has computed it, or the zero
-    # polynomial once is_harmonic() has found it harmonic; _fib holds the
-    # grouping by y-monomial (_t_fibres) once a method has used it.  Both
+    # _lap holds the Laplacian once laplacian() has computed it, and _fib
+    # the grouping by y-monomial (_t_fibres) once a method has used it.  Both
     # slots stay empty until then, so building a polynomial writes nothing
     # to them.
     __slots__ = ("d", "_num", "_den", "_lap", "_fib")
@@ -311,27 +294,17 @@ class MultiPoly:
 
     def laplacian(self) -> "MultiPoly":
         """Sum of second partials over all d+1 variables, computed on the
-        first call and kept: a polynomial never changes."""
-        try:
-            return self._lap
-        except AttributeError:
-            lap = MultiPoly._reduced(self.d, _laplacian_num(self._num, 0), self._den)
-            object.__setattr__(self, "_lap", lap)
-            return lap
+        first call and kept: a polynomial never changes.
 
-    def is_harmonic(self) -> bool:
-        """Whether the Laplacian is zero, decided on the y-monomial grouping
-        without building the Laplacian.
-
-        For y-exponents b, the Laplacian's t-numerators at y^b are those of
-        d2/dt2 on the fibre of b, (k+2)(k+1) a_(k+2) at t^k, plus, for each
-        y-variable v, n(n-1) times the fibre of b + 2e_v, with n the v-th
-        exponent of b + 2e_v.  They are summed as lists, one per fibre; the
-        polynomial is harmonic iff every sum is zero.  A harmonic result is
-        kept as a zero Laplacian.
+        It is summed on the y-monomial grouping.  For y-exponents b, the
+        t-numerators at y^b are those of d2/dt2 on the fibre of b,
+        (k+2)(k+1) a_(k+2) at t^k, plus, for each y-variable v, n(n-1)
+        times the fibre of b + 2e_v, with n the v-th exponent of b + 2e_v.
+        Each sum is one list; a harmonic polynomial leaves every list zero
+        and gets the empty map.
         """
         try:
-            return self._lap.is_zero
+            return self._lap
         except AttributeError:
             pass
         fibres = self._fibres()
@@ -352,10 +325,10 @@ class MultiPoly:
                         part = [c * x for x in a]
                         part[: len(s)] = map(add, part, s)
                         sums[key] = part
-        if any(map(any, sums.values())):
-            return False
-        object.__setattr__(self, "_lap", MultiPoly._reduced(self.d, {}, 1))
-        return True
+        num = {(k,) + rest: v for rest, s in sums.items() for k, v in enumerate(s) if v}
+        lap = MultiPoly._reduced(self.d, num, self._den)
+        object.__setattr__(self, "_lap", lap)
+        return lap
 
     def laplacian_y(self) -> "MultiPoly":
         """Sum of second partials over the y-variables only."""
@@ -664,8 +637,9 @@ def _json_rational(value: object) -> Fraction:
 
 def _require_harmonic(p: MultiPoly, what: str) -> None:
     """Raise ValueError("<what>; laplacian = ...") unless p is harmonic."""
-    if not p.is_harmonic():
-        raise ValueError(f"{what}; laplacian = {p.laplacian()}")
+    lap = p.laplacian()
+    if not lap.is_zero:
+        raise ValueError(f"{what}; laplacian = {lap}")
 
 
 def variables(d: int) -> tuple[MultiPoly, ...]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from slab_harmonics import MultiPoly, VerificationReport, diffeq, slab, variables
+from slab_harmonics import MultiPoly, VerificationReport, diffeq, poly, slab, variables
 from slab_harmonics.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -162,15 +162,16 @@ def test_passing_commands_do_not_shift(monkeypatch, tmp_path):
         assert main(argv + ["--quiet"]) == 0, argv
 
 
-def test_passing_commands_build_no_laplacian(monkeypatch, tmp_path):
-    # harmonicity is decided on the y-monomial grouping; the Laplacian is
-    # built only for a failing report or an error message
-    def laplacian(self):
-        raise AssertionError("laplacian called")
-
-    monkeypatch.setattr(MultiPoly, "laplacian", laplacian)
+def test_passing_commands_group_each_polynomial_once(monkeypatch, tmp_path):
+    # the wall traces, the Laplacian and the Cauchy residuals of one
+    # polynomial all read the grouping by y-monomial that it keeps
+    grouped = []  # holds each grouped map, so that no id is reused
+    t_fibres = poly._t_fibres
+    monkeypatch.setattr(poly, "_t_fibres", lambda num: grouped.append(num) or t_fibres(num))
     for argv in _passing_runs(tmp_path):
+        grouped.clear()
         assert main(argv + ["--quiet"]) == 0, argv
+        assert grouped and len(set(map(id, grouped))) == len(grouped), argv
 
 
 def test_solve_diffeq_basic(tmp_path):

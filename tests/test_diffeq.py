@@ -112,21 +112,15 @@ def test_solve_output_golden_digest():
     assert digest == "fb55e3cebcbe251f19fb641acc6290deb2da15f5d167dcad37824f5da1102ebb"
 
 
-def test_solve_takes_no_full_laplacian(monkeypatch):
-    # harmonicity is decided on the y-monomial grouping; the Laplacian is
-    # built only for the message that refuses a non-harmonic g
+def test_solve_takes_one_full_laplacian(monkeypatch):
+    # the only full Laplacian is the harmonicity check on the input g
     calls = []
     laplacian = MultiPoly.laplacian
     monkeypatch.setattr(MultiPoly, "laplacian", lambda p: calls.append(p) or laplacian(p))
     t, y1, y2 = variables(2)
     g = t ** 3 - (t * y1 * y1).scale(3) + y1 * y2 + t
     solve(DiffEqProblem(g, 2))
-    assert calls == []
-    bad = g + t * t * y2
-    with pytest.raises(ValueError) as info:
-        DiffEqProblem(bad, 2)
-    assert str(info.value) == "right-hand side must be harmonic; laplacian = 2*y2"
-    assert calls == [bad]
+    assert calls == [g]
 
 
 def test_solve_odd_worked_example():

@@ -20,7 +20,7 @@ from slab_harmonics.laplace import (
     poisson_solve,
     trace_operator,
 )
-from slab_harmonics.poly import _laplacian_num, _t_fibres
+from slab_harmonics.poly import _t_fibres
 from slab_harmonics.randgen import random_harmonic_poly, random_rational, random_tfree_poly
 
 F = Fraction
@@ -441,78 +441,43 @@ def harmonicity_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(harmonicity_cases())
-def test_is_harmonic_matches_the_laplacian(p):
-    _check_is_harmonic(p)
+def test_laplacian_on_the_grouping_matches_the_reference(p):
+    _check_laplacian(p)
 
 
-def test_is_harmonic_on_cancelling_sums():
+def test_laplacian_on_cancelling_sums():
     # each case in every dimension and for every pair of y-variables, so
     # that no cancellation across or within fibres depends on a draw
     for d in range(1, 5):
         t, *ys = variables(d)
         for v in ys:
-            _check_is_harmonic(t * t - v * v)
-            _check_is_harmonic(t * t * v * v - (t ** 4 + v ** 4).scale(F(1, 6)))
+            _check_laplacian(t * t - v * v)
+            _check_laplacian(t * t * v * v - (t ** 4 + v ** 4).scale(F(1, 6)))
             for w in ys:
-                _check_is_harmonic(v * v - w * w)
-                _check_is_harmonic((v * v - w * w) * t + (t * t).scale(3))
-                _check_is_harmonic((v * v - w * w) * t ** 3 + (t ** 4 - w ** 4).scale(F(1, 5)))
+                _check_laplacian(v * v - w * w)
+                _check_laplacian((v * v - w * w) * t + (t * t).scale(3))
+                _check_laplacian((v * v - w * w) * t ** 3 + (t ** 4 - w ** 4).scale(F(1, 5)))
 
 
-def _check_is_harmonic(p):
-    expected = not _laplacian_reference(p.terms, 0)
+def _check_laplacian(p):
+    expected = _laplacian_reference(p.terms, 0)
     q = _fresh(p)
-    assert q.is_harmonic() == expected
-    assert q.is_harmonic() == expected  # the kept zero Laplacian, if harmonic
-    assert q.laplacian().terms == _laplacian_reference(p.terms, 0)
-    q = _fresh(p)
-    assert q.laplacian().is_zero == expected
-    assert q.is_harmonic() == expected  # read off the kept Laplacian
-    # shift_t groups afresh: the kept grouping it would rewrite stays whole
-    q = _fresh(p)
-    q.is_harmonic()
+    lap = q.laplacian()
+    assert lap.terms == expected
+    assert lap.is_zero == (not expected)
+    _assert_canonical(lap)
+    assert q.laplacian() is lap
+    # the Laplacian leaves the kept grouping whole, and so does shift_t,
+    # which groups afresh because it rewrites its lists
+    num = q.as_integer_ratio()[0]
+    assert q._fibres() == _t_fibres(num)
     q.shift_t(F(3, 2))
-    assert q._fibres() == _t_fibres(q.as_integer_ratio()[0])
+    assert q._fibres() == _t_fibres(num)
     assert q.traces(F(3, 2)) == [_fresh(p).trace(F(3, 2))]
-
-
-def _laplacian_num_reference(num, first):
-    # the per-term loop over every variable that _laplacian_num replaced
-    out = {}
-    for exps, a in num.items():
-        for var in range(first, len(exps)):
-            n = exps[var]
-            if n > 1:
-                e = exps[:var] + (n - 2,) + exps[var + 1 :]
-                out[e] = out.get(e, 0) + a * (n * (n - 1))
-    return {e: v for e, v in out.items() if v}
-
-
-@st.composite
-def cancelling_numerators(draw):
-    """Nonzero integer numerators in d = 1..4 in which some terms' second
-    partials cancel: c x_v^2 m against -c x_w^2 m for a monomial m."""
-    d = draw(st.integers(1, 4))
-    exps = st.lists(st.integers(0, 5), min_size=d + 1, max_size=d + 1).map(tuple)
-    values = st.integers(-(10**30), 10**30).filter(bool)
-    num = dict(draw(st.lists(st.tuples(exps, values), max_size=12)))
-    for m, c in draw(st.lists(st.tuples(exps, values), max_size=4)):
-        v, w = draw(st.integers(0, d)), draw(st.integers(0, d))
-        for var, sign in ((v, 1), (w, -1)):
-            e = m[:var] + (m[var] + 2,) + m[var + 1 :]
-            num[e] = num.get(e, 0) + sign * c
-    return {e: a for e, a in num.items() if a}
-
-
-@settings(max_examples=300, deadline=None)
-@given(cancelling_numerators())
-def test_laplacian_num_matches_the_per_term_loop(num):
-    before = dict(num)
-    for first in (0, 1):
-        got = _laplacian_num(num, first)
-        assert got == _laplacian_num_reference(num, first)
-        assert all(got.values())
-    assert num == before
+    # the grouping built first, by traces, serves the Laplacian too
+    q = _fresh(p)
+    q.traces(F(1, 2), 2)
+    assert q.laplacian().terms == expected
 
 
 @settings(max_examples=100, deadline=None)
