@@ -203,6 +203,8 @@ def _parse_grid(spec: str, d: int) -> list[list[float]]:
             raise InputError(f"empty or non-finite grid range in {part!r}")
         if name not in names:
             raise InputError(f"unknown grid variable {name!r} (expected {names})")
+        if name in axes:
+            raise InputError(f"grid variable {name!r} is given twice")
         # capped, so a range too long for a float count is over the bound too
         count = int(min((hi - lo) / step + 1e-9, _MAX_GRID_POINTS)) + 1
         axes[name] = (lo, step, count)

@@ -1,10 +1,18 @@
 """Constructive solver for h(t+1,y) - h(t,y) = g(t,y), g harmonic polynomial.
 
-With S(phi) the slab solution on (0, 1/2) with data (phi, 0), S(-g(0,y)/2)
-solves the equation for g even in t.  For g odd in t, the harmonic
-t-antiderivative u = int_0^t g - G, Lap_y G = dg/dt(0,y), is even, and
-d/dt S(-u(0,y)/2) = d/dt S(G/2) solves it.  So h depends only on the traces
-f(y) = g(0,y) and p(y) = dg/dt(0,y):  h = S(-f/2) + d/dt S(G/2).
+Write C_t = cos(tD) and S_t = sin(tD)/D with D^2 = Lap_y, f = g(0,y),
+p = dg/dt(0,y) and G = poisson_solve(p), so Lap_y G = p.  The residual
+r = h(t+1,y) - h(t,y) - g of a harmonic h with Cauchy data u0 = h(0,y),
+u1 = dh/dt(0,y) is harmonic, so it vanishes iff its Cauchy data do:
+
+    (C_1 - 1) u0 + S_1 u1 = f,    -Lap_y S_1 u0 + (C_1 - 1) u1 = p.
+
+With K = D cot(D/2), for which S_1 K = 1 + C_1 and so
+Lap_y S_1 = (1 - C_1) K, both hold for u0 = -(f + K G)/2 and the u1 that
+the first one fixes (S_1 is invertible): the second times S_1, with S_1 u1
+from the first, reads (1 - C_1)(2 u0 + f + K G) = 0.  Such an h has
+h(1,y) = u0 + f, so it is the slab solution on (0, 1) with data
+(u0, u0 + f), which is unique: one slab solve builds it.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping
 
-from .laplace import poisson_solve
+from .laplace import _cot_series, _length, _series, poisson_solve
 from .poly import MultiPoly, _json_dim, _require_harmonic
 from .report import VerificationReport
 from .slab import SlabProblem, solve_slab
@@ -45,29 +53,39 @@ class DiffEqSolution:
     h: MultiPoly
 
 
-def _half_slab(phi: MultiPoly) -> MultiPoly:
-    """S(phi): the slab solution on (0, 1/2) with data (phi, 0)."""
-    zero = MultiPoly.zero(phi.d)
-    return solve_slab(SlabProblem(Fraction(0), Fraction(1, 2), phi.d, phi, zero))
-
-
 def _potential(g: MultiPoly) -> MultiPoly:
     """G with Lap_y G = dg/dt(0,y), which equals Lap_y(int_0^t g) + dg/dt
     for harmonic g: that sum has t-derivative Lap g = 0."""
     return poisson_solve(g.derivative(0).trace(0))
 
 
-def solve_even(g_even: MultiPoly) -> MultiPoly:
-    """Solution of the difference equation for harmonic g even in t.
+def solve(prob: DiffEqProblem) -> DiffEqSolution:
+    """Harmonic h with shift_t(h,1) - h = g: the slab solution on (0, 1)
+    with data (u0, u0 + f), where u0 = -(f + K G)/2, f = g(0,y),
+    G = poisson_solve(dg/dt(0,y)) and K = D cot(D/2)."""
+    f = prob.g.trace(0)
+    potential = _potential(prob.g)
+    (k_potential,) = _series(potential, [_cot_series(_length(potential))])
+    u0 = (f + k_potential).scale(Fraction(-1, 2))
+    return DiffEqSolution(h=solve_slab(SlabProblem(Fraction(0), Fraction(1), prob.d, u0, u0 + f)))
 
-    The slab solution with h(0,y) = -g(0,y)/2 and h(1/2,y) = 0 satisfies
-    h(t+1,y) - h(t,y) = g(t,y) as an exact polynomial identity.
-    """
-    _require_harmonic(g_even, "solve_even requires a harmonic input")
-    _, odd_part = g_even.parity_split_t()
-    if not odd_part.is_zero:
-        raise ValueError(f"solve_even requires an even input, got odd part {odd_part}")
-    return _half_slab(g_even.trace(0).scale(Fraction(-1, 2)))
+
+def _solve_of_parity(g: MultiPoly, parity: str) -> MultiPoly:
+    """solve's h for a harmonic g that is `parity` ("even" or "odd") in t;
+    errors name the caller, solve_<parity>."""
+    name = f"solve_{parity}"
+    _require_harmonic(g, f"{name} requires a harmonic input")
+    even_part, odd_part = g.parity_split_t()
+    other, other_parity = (odd_part, "odd") if parity == "even" else (even_part, "even")
+    if not other.is_zero:
+        raise ValueError(f"{name} requires an {parity} input, got {other_parity} part {other}")
+    return solve(DiffEqProblem(g, g.d)).h
+
+
+def solve_even(g_even: MultiPoly) -> MultiPoly:
+    """solve's h for harmonic g even in t.  There G = 0, so
+    h(0,y) = -g(0,y)/2."""
+    return _solve_of_parity(g_even, "even")
 
 
 def harmonic_t_antiderivative(g: MultiPoly) -> MultiPoly:
@@ -78,21 +96,9 @@ def harmonic_t_antiderivative(g: MultiPoly) -> MultiPoly:
 
 
 def solve_odd(g_odd: MultiPoly) -> MultiPoly:
-    """d/dt S(G/2) for harmonic g odd in t: S(G/2) solves the equation for
-    the even antiderivative u, since u(0,y) = -G(y)."""
-    _require_harmonic(g_odd, "solve_odd requires a harmonic input")
-    even_part, _ = g_odd.parity_split_t()
-    if not even_part.is_zero:
-        raise ValueError(f"solve_odd requires an odd input, got even part {even_part}")
-    return _half_slab(_potential(g_odd).scale(Fraction(1, 2))).derivative(0)
-
-
-def solve(prob: DiffEqProblem) -> DiffEqSolution:
-    """Harmonic h = S(-f/2) + d/dt S(G/2) with shift_t(h,1) - h = g, where
-    f = g(0,y) and G = poisson_solve(dg/dt(0,y))."""
-    h_even = _half_slab(prob.g.trace(0).scale(Fraction(-1, 2)))
-    h_odd = _half_slab(_potential(prob.g).scale(Fraction(1, 2))).derivative(0)
-    return DiffEqSolution(h=h_even + h_odd)
+    """solve's h for harmonic g odd in t.  There f = 0, so
+    h(0,y) = -K G/2."""
+    return _solve_of_parity(g_odd, "odd")
 
 
 def _cauchy_residuals_vanish(h: MultiPoly, g: MultiPoly) -> bool:

@@ -7,14 +7,16 @@ Lap_y, written with D = sqrt(Lap_y):
     odd CK extension    sin(t D)/D f = sum_k (-1)^k t^(2k+1) / (2k+1)! Lap_y^k f
     trace operator      L_c f = sin(c D)/D f, the odd extension at t = c
     its inverse         D / sin(c D) p
+    difference step     K = D cot(D/2), which gives the wall value of a
+                        solution of h(t+1,y) - h(t,y) = g (see diffeq)
 
 The series are finite on polynomials because Lap_y strictly lowers degree.
 The inverse is (1/c) times the series of x/sin(x) in u = x^2 = c^2 Lap_y,
-whose coefficients come from the tangent numbers (DLMF 4.19).  One kernel
-applies all four, each given as its list of rational coefficients, and
-applies several lists in one walk of Lap_y^k f; a product of two operators
-is the Cauchy product of their lists.  The Poisson solver uses the radial
-|y|^2 ansatz per homogeneous component.
+whose coefficients come from the tangent numbers (DLMF 4.19); K is read off
+the same table.  One kernel applies all five, each given as its list of
+rational coefficients, and applies several lists in one walk of Lap_y^k f;
+a product of two operators is the Cauchy product of their lists.  The
+Poisson solver uses the radial |y|^2 ansatz per homogeneous component.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from operator import add
 from typing import Sequence
 
-from .poly import MultiPoly, Scalar, _frac, _laplacian_num
+from .poly import MultiPoly, Scalar, _frac, _laplacian_y_num
 
 
 def _require_t_free(p: MultiPoly, what: str) -> None:
@@ -60,7 +62,7 @@ def _series(
     chain = []  # (content, numerators) of each nonzero Lap_y^k f still needed
     for k in range(max(len(nums) for nums, _ in series)):
         if k:
-            term = _laplacian_num(term, 1)
+            term = _laplacian_y_num(term)
         if not term:  # Lap_y^k f = 0, and so are the later powers
             break
         chain.append((math.gcd(*term.values()), term))
@@ -142,6 +144,19 @@ def _inverse_trace_series(c: Scalar, n: int) -> Series:
     ])
 
 
+def _cot_series(n: int) -> Series:
+    """The first n terms of K = D cot(D/2) in powers of Lap_y:
+    K_k = 2 (-1)^k B_2k / (2k)!, which is -2 A_k / (4^k - 2) with A_k from
+    the x/sin(x) table, and K_0 = 2.  It is the series with
+    S_1 K = 1 + C_1, since sin(x) cot(x/2) = 1 + cos(x)."""
+    coeffs = [(2, 1)]
+    for k, (p, q) in enumerate(_x_over_sin_x(n)[1:], 1):
+        m = 2 ** (2 * k - 1) - 1  # (4^k - 2) / 2
+        g = math.gcd(p, m)
+        coeffs.append((-p // g, q * (m // g)))
+    return _over_lcm(coeffs)
+
+
 def _series_product(x: Series, y: Series, n: int) -> Series:
     """The first n terms of the product of two series: the Cauchy product
     of their numerators, over the product of their denominators."""
@@ -217,7 +232,7 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
         q, k = 2 * (2 * m + d), 0
         while term:
             steps.append((k, q, term))
-            term = _laplacian_num(term, 1)
+            term = _laplacian_y_num(term)
             k += 1
             q *= 2 * (k + 1) * (2 * m - 2 * k + d)
 

@@ -74,12 +74,13 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension d must be >= 1, got {d}")
 
 
-def _laplacian_num(num: Numerators, first: int) -> Numerators:
-    """Sum of second partials over variables first..d, on numerators: the
-    factors n(n-1) are integers, so the denominator does not change."""
+def _laplacian_y_num(num: Numerators) -> Numerators:
+    """The y-Laplacian on numerators: the sum of second partials over
+    y1..yd.  The factors n(n-1) are integers, so the denominator does not
+    change."""
     out: Numerators = {}
     for exps, a in num.items():
-        for var in range(first, len(exps)):
+        for var in range(1, len(exps)):
             n = exps[var]
             if n > 1:
                 e = exps[:var] + (n - 2,) + exps[var + 1 :]
@@ -332,7 +333,7 @@ class MultiPoly:
 
     def laplacian_y(self) -> "MultiPoly":
         """Sum of second partials over the y-variables only."""
-        return MultiPoly._reduced(self.d, _laplacian_num(self._num, 1), self._den)
+        return MultiPoly._reduced(self.d, _laplacian_y_num(self._num), self._den)
 
     def integrate_t(self) -> "MultiPoly":
         """Antiderivative in t vanishing at t = 0."""

@@ -267,6 +267,7 @@ def test_eval_zero_poly(tmp_path):
     "t=0:1:1,y1=0:1:1,y2=0:1:1",  # unknown variable
     "bogus",
     "t=0:1e9:1,y1=0:1:1",     # 2e9 points, over the bound
+    "t=0:1:1,t=5:6:1,y1=0:0:1",  # t given twice
 ])
 def test_eval_malformed_grid(grid, capsys):
     assert main(["eval", "--input", fixture("poly_saddle.json"), "--grid", grid, "--quiet"]) == 2

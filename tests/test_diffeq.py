@@ -1,4 +1,5 @@
-"""Difference-equation pipeline: even/odd solvers, assembly, uniqueness residue."""
+"""Difference-equation pipeline: the one-slab solver, its even/odd entry points
+and the half-slab construction it replaced, verification, uniqueness residue."""
 
 import hashlib
 import json
@@ -12,16 +13,26 @@ from hypothesis import strategies as st
 from slab_harmonics import (
     DiffEqProblem,
     MultiPoly,
+    SlabProblem,
     compare_solutions,
+    even_ck_extension,
     harmonic_t_antiderivative,
+    odd_ck_extension,
+    poisson_solve,
     solve,
     solve_even,
     solve_odd,
+    solve_slab,
     variables,
     verify_difference,
 )
 from slab_harmonics.diffeq import _cauchy_residuals_vanish
-from slab_harmonics.randgen import random_harmonic_poly, random_tfree_poly, random_y_harmonic
+from slab_harmonics.randgen import (
+    random_harmonic_poly,
+    random_rational,
+    random_tfree_poly,
+    random_y_harmonic,
+)
 
 F = Fraction
 
@@ -121,6 +132,35 @@ def test_solve_takes_one_full_laplacian(monkeypatch):
     g = t ** 3 - (t * y1 * y1).scale(3) + y1 * y2 + t
     solve(DiffEqProblem(g, 2))
     assert calls == [g]
+
+
+def _half_slab_construction(g):
+    """h = S(-f/2) + d/dt S(G/2), with S(phi) the slab solution on (0, 1/2)
+    with data (phi, 0), f = g(0,y) and Lap_y G = dg/dt(0,y): the two
+    half-slab solves that solve replaced, kept as a reference."""
+    def half_slab(phi):
+        return solve_slab(SlabProblem(F(0), F(1, 2), g.d, phi, MultiPoly.zero(g.d)))
+
+    potential = poisson_solve(g.derivative(0).trace(0))
+    return half_slab(g.trace(0).scale(F(-1, 2))) + half_slab(potential.scale(F(1, 2))).derivative(0)
+
+
+def test_solve_equals_the_half_slab_construction():
+    rng = random.Random(89)
+    for i in range(40):
+        d = 1 + i % 4
+        g = random_harmonic_poly(rng, d, (12, 8, 6, 5)[d - 1], max_terms=5)
+        assert solve(DiffEqProblem(g, d)).h == _half_slab_construction(g)  # numerators and denominator
+
+
+def test_solve_equals_the_half_slab_construction_dense_high_degree():
+    # dense d = 1 data of degree 64, past the goldens' degree 16
+    rng = random.Random(91)
+    f = MultiPoly(1, {(0, j): random_rational(rng) for j in range(65)})
+    p = MultiPoly(1, {(0, j): random_rational(rng) for j in range(64)})
+    g = even_ck_extension(f) + odd_ck_extension(p)
+    assert g.total_degree() == 64 and len(g.terms) > 1000
+    assert solve(DiffEqProblem(g, 1)).h == _half_slab_construction(g)
 
 
 def test_solve_odd_worked_example():

@@ -18,6 +18,7 @@ from slab_harmonics import (
     trace_operator,
     variables,
 )
+from slab_harmonics.laplace import _cot_series, _series_product, _wall_series
 from slab_harmonics.randgen import random_harmonic_poly, random_tfree_poly
 
 F = Fraction
@@ -133,6 +134,25 @@ def test_invert_trace_operator_is_the_x_over_sin_x_series():
             a_k = (-1) ** (k + 1) * 2 * (F(2) ** (2 * k - 1) - 1) * b_2k / math.factorial(2 * k)
             lap_k = F(math.factorial(n), math.factorial(n - 2 * k))  # Lap^k y^n / y^(n-2k)
             assert g.terms[(0, n - 2 * k)] == a_k * c ** (2 * k - 1) * lap_k, (c, k)
+
+
+def test_cot_series_is_the_bernoulli_series():
+    # K = D cot(D/2) = sum_k K_k Lap^k with K_k = 2 (-1)^k B_2k / (2k)!
+    n = 100
+    bern = bernoulli_polynomial(n).coeffs
+    nums, den = _cot_series(n // 2 + 1)
+    assert len(nums) == n // 2 + 1
+    for k in range(n // 2 + 1):
+        b_2k = bern[n - 2 * k][0] / math.comb(n, 2 * k)
+        assert F(nums[k], den) == 2 * (-1) ** k * b_2k / math.factorial(2 * k), k
+
+
+def test_cot_series_times_s1_is_one_plus_c1():
+    # sin(x)/x * x cot(x/2) = 1 + cos(x), cut at n terms
+    n = 60
+    nums, den = _series_product(_wall_series(1, n, 1), _cot_series(n), n)
+    c_nums, c_den = _wall_series(1, n, 0)
+    assert [F(v, den) for v in nums] == [F(v, c_den) + (k == 0) for k, v in enumerate(c_nums)]
 
 
 def test_operators_are_linear():
