@@ -264,40 +264,60 @@ def cmd_self_test(args) -> int:
     return 1 if failures else 0
 
 
+# name -> (handler, takes --input/--output, takes --grid); self-test also
+# takes --rounds
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], bool, bool]] = {
+    "solve-slab": (cmd_solve_slab, True, False),
+    "solve-diffeq": (cmd_solve_diffeq, True, False),
+    "verify": (cmd_verify, True, False),
+    "oracle-compare": (cmd_oracle_compare, True, False),
+    "eval": (cmd_eval, True, True),
+    "self-test": (cmd_self_test, False, False),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give `parser` the options of command `name`, in the order its help lists them."""
+    func, files, needs_grid = _COMMANDS[name]
+    if files:
+        parser.add_argument("--input", required=True, help="input JSON file")
+        parser.add_argument("--output", help="output file (default: stdout)")
+    if needs_grid:
+        parser.add_argument(
+            "--grid",
+            required=True,
+            help='sampling grid, e.g. "t=0:1:0.5,y1=-1:1:0.5"',
+        )
+    parser.add_argument("--quiet", action="store_true")
+    if name == "self-test":
+        parser.add_argument("--rounds", type=int, default=20)
+    parser.set_defaults(func=func, command=name)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: top-level help and the error for an unknown command."""
     parser = argparse.ArgumentParser(
         prog="slab-harmonics",
         description="Exact slab Dirichlet and harmonic difference-equation solver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, files=True, needs_grid=False):
-        sp = sub.add_parser(name)
-        if files:
-            sp.add_argument("--input", required=True, help="input JSON file")
-            sp.add_argument("--output", help="output file (default: stdout)")
-        if needs_grid:
-            sp.add_argument(
-                "--grid",
-                required=True,
-                help='sampling grid, e.g. "t=0:1:0.5,y1=-1:1:0.5"',
-            )
-        sp.add_argument("--quiet", action="store_true")
-        sp.set_defaults(func=func)
-        return sp
-
-    add("solve-slab", cmd_solve_slab)
-    add("solve-diffeq", cmd_solve_diffeq)
-    add("verify", cmd_verify)
-    add("oracle-compare", cmd_oracle_compare)
-    add("eval", cmd_eval, needs_grid=True)
-    st = add("self-test", cmd_self_test, files=False)
-    st.add_argument("--rounds", type=int, default=20)
+    for name in _COMMANDS:
+        _add_options(sub.add_parser(name), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _COMMANDS:
+        # build the invoked command's parser alone: building the full one
+        # (seven parsers) takes about 1 ms, twenty times the parse itself
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"slab-harmonics {name}")
+        _add_options(parser, name)
+        args = parser.parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         with _int_digits(0):
             code = args.func(args)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests against the JSON fixture files."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from slab_harmonics import MultiPoly, VerificationReport, diffeq, poly, slab, variables
-from slab_harmonics.cli import main
+from slab_harmonics import MultiPoly, VerificationReport, cli, diffeq, poly, slab, variables
+from slab_harmonics.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -19,6 +20,15 @@ F = Fraction
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+def run_module(argv, **kwargs):
+    """Run `python -m slab_harmonics.cli` on `argv` with this checkout's src first on the path."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "slab_harmonics.cli", *argv], env=env, timeout=60, **kwargs
+    )
 
 
 def test_solve_slab_basic(tmp_path, capsys):
@@ -297,6 +307,93 @@ def test_self_test_takes_no_output_option(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, usage, extra", [
+    (["self-test", "--rounds", "1", "--output", "o"],
+     "usage: slab-harmonics self-test [-h] [--quiet] [--rounds ROUNDS]\n", "--output o"),
+    (["solve-slab", "extra", "--input", "x"],
+     "usage: slab-harmonics solve-slab [-h] --input INPUT", "extra"),
+])
+def test_unrecognized_argument_shows_the_command_usage(argv, usage, extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert err.endswith(f"slab-harmonics {argv[0]}: error: unrecognized arguments: {extra}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["--quiet", "verify", "--input", "x"], "unrecognized arguments: --quiet"),
+])
+def test_no_command_falls_back_to_the_full_parser(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: slab-harmonics [-h]")
+    assert f"slab-harmonics: error: {message}" in err
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_one_command_help_matches_the_full_parser(name, capsys):
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == subparsers.choices[name].format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "--input", "p.json"] + rest
+      for name in ["solve-slab", "solve-diffeq", "verify", "oracle-compare"]
+      for rest in ([], ["--output", "o.json"], ["--quiet"], ["--quiet", "--output", "o.json"])),
+    ["eval", "--input", "p.json", "--grid", "t=0:1:0.5,y1=-1:1:0.5"],
+    ["eval", "--grid", "t=0:1:1,y1=0:1:1", "--input", "p.json", "--output", "o.csv", "--quiet"],
+    ["self-test"],
+    ["self-test", "--quiet"],
+    ["self-test", "--rounds", "3"],
+    ["self-test", "--rounds", "3", "--quiet"],
+])
+def test_main_parses_as_the_full_parser(argv, monkeypatch):
+    # record the parsed arguments in place of running the command
+    parsed = []
+    for name, (_, files, needs_grid) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (parsed.append, files, needs_grid))
+    main(argv)
+    assert parsed == [build_parser().parse_args(argv)]
+
+
+@pytest.mark.parametrize("from_sys_argv", [False, True])
+def test_a_named_command_builds_one_parser(from_sys_argv, monkeypatch):
+    argv = ["verify", "--input", fixture("verify_good.json"), "--quiet"]
+    monkeypatch.setattr(sys, "argv", ["slab-harmonics", *argv])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert (main() if from_sys_argv else main(argv)) == 0
+    assert built == ["slab-harmonics verify"]
+
+
+@pytest.mark.parametrize("argv, stdout_check", [
+    (["--help"], lambda out: all(name in out for name in cli._COMMANDS)),
+    (["verify", "--help"], lambda out: out.startswith("usage: slab-harmonics verify")),
+    (["self-test", "--rounds", "0", "--quiet"], lambda out: out == ""),
+])
+def test_entry_point_reads_sys_argv(argv, stdout_check):
+    proc = run_module(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert stdout_check(proc.stdout), proc.stdout
+
+
 @pytest.mark.parametrize("seed", ["abc", "1e3", "", "7.0"])
 def test_self_test_malformed_seed_exits_2(seed, monkeypatch, capsys):
     monkeypatch.setenv("SLAB_HARMONICS_SEED", seed)
@@ -443,13 +540,8 @@ def test_closed_stdout_exits_2_in_one_line(argv):
     # stdout is a pipe whose read end is closed before the command starts
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "slab_harmonics.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
+        proc = run_module(argv, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     err = proc.stderr.decode()
