@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .diffeq import _residue_check
 from .poly import MultiPoly, _require_harmonic
@@ -24,8 +24,6 @@ CRational = tuple[Fraction, Fraction]
 
 # Gaussian-integer numerators (re_k, im_k) of the coefficients of z^k
 GaussNumerators = list[tuple[int, int]]
-
-_ZERO: CRational = (Fraction(0), Fraction(0))
 
 
 class ComplexPoly:
@@ -54,14 +52,6 @@ class ComplexPoly:
         p._num, p._den = _canonical(num, den)
         return p
 
-    @classmethod
-    def zero(cls) -> "ComplexPoly":
-        return cls()
-
-    @classmethod
-    def from_real(cls, coeffs: Sequence[Fraction | int | str]) -> "ComplexPoly":
-        return cls([(Fraction(c), Fraction(0)) for c in coeffs])
-
     @property
     def coeffs(self) -> tuple[CRational, ...]:
         den = self._den
@@ -73,14 +63,8 @@ class ComplexPoly:
         return self._den == other._den and self._num == other._num
 
     def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "ComplexPoly", sign: int) -> "ComplexPoly":
         den = math.lcm(self._den, other._den)
-        ma, mb = den // self._den, sign * (den // other._den)
+        ma, mb = den // self._den, den // other._den
         a, b = self._num, other._num
         if len(a) < len(b):
             a = a + [(0, 0)] * (len(b) - len(a))
@@ -88,33 +72,6 @@ class ComplexPoly:
         for k, (re, im) in enumerate(b):
             out[k] = (out[k][0] + re * mb, out[k][1] + im * mb)
         return ComplexPoly._reduced(out, den)
-
-    def coeff(self, k: int) -> CRational:
-        if not 0 <= k < len(self._num):
-            return _ZERO
-        re, im = self._num[k]
-        return (Fraction(re, self._den), Fraction(im, self._den))
-
-    def scale(self, c: CRational) -> "ComplexPoly":
-        re_c, im_c = Fraction(c[0]), Fraction(c[1])
-        q = math.lcm(re_c.denominator, im_c.denominator)
-        u, v = re_c.numerator * (q // re_c.denominator), im_c.numerator * (q // im_c.denominator)
-        return ComplexPoly._reduced(
-            [(u * re - v * im, u * im + v * re) for re, im in self._num], self._den * q
-        )
-
-    def shift(self, s: Fraction | int) -> "ComplexPoly":
-        """Substitute z <- z + s for rational s (binomial expansion)."""
-        s = Fraction(s)
-        p, q = s.numerator, s.denominator
-        # sum_n c_n (z + p/q)^n = q^-m sum_n c_n q^(m-n) sum_j C(n,j) (qz)^j p^(n-j)
-        m = len(self._num) - 1
-        out = [(0, 0)] * len(self._num)
-        for n, (re, im) in enumerate(self._num):
-            for j in range(n + 1):
-                w = math.comb(n, j) * p ** (n - j) * q ** (m - n + j)
-                out[j] = (out[j][0] + w * re, out[j][1] + w * im)
-        return ComplexPoly._reduced(out, self._den * q ** max(m, 0))
 
     def antiderivative(self) -> "ComplexPoly":
         """Antiderivative with zero constant term."""
@@ -125,13 +82,6 @@ class ComplexPoly:
             (re * m // (k + 1), im * m // (k + 1)) for k, (re, im) in enumerate(self._num)
         ]
         return ComplexPoly._reduced(out, self._den * m)
-
-    def integral_unit_interval(self) -> CRational:
-        """Exact integral over [0, 1]."""
-        m = math.lcm(*range(1, len(self._num) + 1))
-        re = sum(c[0] * (m // (k + 1)) for k, c in enumerate(self._num))
-        im = sum(c[1] * (m // (k + 1)) for k, c in enumerate(self._num))
-        return (Fraction(re, self._den * m), Fraction(im, self._den * m))
 
     def __repr__(self) -> str:
         return f"ComplexPoly({list(self.coeffs)})"
@@ -208,19 +158,16 @@ def solve_complex_difference(g: ComplexPoly) -> ComplexPoly:
     return ComplexPoly._reduced(out, lcm * g._den)
 
 
-def harmonic_part(p: ComplexPoly, which: str = "real") -> MultiPoly:
-    """Expand p(t + i*y) exactly and take the real or imaginary part (d = 1)."""
-    if which not in ("real", "imaginary"):
-        raise ValueError(f"'which' must be 'real' or 'imaginary', got {which!r}")
-    part = 0 if which == "real" else 1
+def harmonic_part(p: ComplexPoly) -> MultiPoly:
+    """Re p(t + i*y), expanded exactly (d = 1).  The imaginary part of p is
+    the real part of -i*p."""
     num: dict[tuple[int, int], int] = {}
-    for n, c in enumerate(p._num):
-        # (t + iy)^n = sum_j C(n,j) t^(n-j) (iy)^j; i^j cycles with period 4
+    for n, (re, im) in enumerate(p._num):
+        # (t + iy)^n = sum_j C(n,j) t^(n-j) (iy)^j; i^j cycles with period 4,
+        # so Re((re + i im) i^j) is re, -im, -re, im in turn
+        parts = (re, -im, -re, im)
         for j in range(n + 1):
-            re, im = c
-            for _ in range(j % 4):
-                re, im = -im, re
-            v = (re, im)[part]
+            v = parts[j % 4]
             if v:
                 # (n - j, j) determines n, so each key is written once
                 num[(n - j, j)] = math.comb(n, j) * v
@@ -247,7 +194,7 @@ def harmonic_conjugate_completion(g: MultiPoly) -> ComplexPoly:
     p = ComplexPoly._reduced(dp, den).antiderivative() + ComplexPoly._reduced(
         [(num.get((0, 0), 0), 0)], den
     )
-    roundtrip = harmonic_part(p, "real") - g
+    roundtrip = harmonic_part(p) - g
     if not roundtrip.is_zero:
         raise ArithmeticError(f"conjugate completion failed to reproduce input: {roundtrip}")
     return p
@@ -256,9 +203,7 @@ def harmonic_conjugate_completion(g: MultiPoly) -> ComplexPoly:
 def oracle_solve(g: MultiPoly) -> MultiPoly:
     """Solve the difference equation for planar harmonic g by the Bernoulli
     route: complete to a holomorphic G, solve in z, take the real part."""
-    return harmonic_part(
-        solve_complex_difference(harmonic_conjugate_completion(g)), "real"
-    )
+    return harmonic_part(solve_complex_difference(harmonic_conjugate_completion(g)))
 
 
 def oracle_compare(g: MultiPoly, h_general: MultiPoly) -> VerificationReport:

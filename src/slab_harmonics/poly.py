@@ -546,24 +546,25 @@ def _json_dim(obj: object, what: str, keys: set[str]) -> int:
     return d
 
 
+# the schema form of a rational: ASCII digits, a minus sign only in front of p
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _json_ratio(value: object) -> tuple[int, int]:
     """The integers (p, q) of a rational in its schema form "p/q" or "p":
     ASCII decimal digits, a minus sign only in front of p, and q nonzero.
     Anything else raises ValueError."""
     if not isinstance(value, str):
         raise ValueError(f"a rational must be a string \"p/q\", got {value!r}")
-    num, slash, den = value.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    if not (digits.isdigit() and value.isascii() and (den.isdigit() or not slash)):
+    if not _RATIONAL.fullmatch(value):
         raise ValueError(f"invalid rational {value!r}: expected \"p/q\" or \"p\" in decimal digits")
-    q = int(den) if slash else 1
+    num, _, den = value.partition("/")
+    q = int(den) if den else 1
     if not q:
         raise ValueError(f"invalid rational {value!r}: zero denominator")
     return int(num), q
 
 
-# the schema form of a rational: ASCII digits, a minus sign only in front of p
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _COEFF, _EXPS = itemgetter("coeff"), itemgetter("exps")
 
 

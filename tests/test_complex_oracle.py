@@ -1,8 +1,10 @@
 """Bernoulli polynomials, the holomorphic difference equation, and the d=1 oracle."""
 
 import hashlib
+import inspect
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +31,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def real_poly(*coeffs):
-    return ComplexPoly.from_real(list(coeffs))
+    return ComplexPoly((F(c), F(0)) for c in coeffs)
+
+
+def parts(p):
+    """Re P and Im P = Re(-iP) of P(t + iy): together they are P, so an
+    identity between complex polynomials holds iff it holds for both."""
+    return harmonic_part(p), harmonic_part(ComplexPoly((im, -re) for re, im in p.coeffs))
 
 
 def test_bernoulli_base_cases():
@@ -39,40 +47,38 @@ def test_bernoulli_base_cases():
 
 
 def test_bernoulli_difference_identity():
-    # B_(n+1)(z+1) - B_(n+1)(z) = (n+1) z^n for n <= 20
+    # B_(n+1)(z+1) - B_(n+1)(z) = (n+1) z^n for n <= 20; z <- z + 1 is
+    # t <- t + 1 in P(t + iy)
     for n in range(21):
         b = bernoulli_polynomial(n + 1)
-        lhs = b.shift(1) - b
+        lhs = [u.shift_t(1) - u for u in parts(b)]
         rhs = ComplexPoly(
             [(F(0), F(0))] * n + [(F(n + 1), F(0))]
         )
-        assert lhs == rhs
+        assert lhs == list(parts(rhs))
 
 
 def test_bernoulli_recurrence_properties():
+    bs = [parts(bernoulli_polynomial(n)) for n in range(61)]
     for n in range(1, 61):
-        b = bernoulli_polynomial(n)
-        prev = bernoulli_polynomial(n - 1)
-        # derivative B_n' = n B_(n-1)
-        deriv = ComplexPoly(
-            ((k + 1) * c[0], (k + 1) * c[1]) for k, c in enumerate(b.coeffs[1:])
-        )
-        assert deriv == prev.scale((F(n), F(0)))
-        assert b.integral_unit_interval() == (F(0), F(0))
+        # derivative B_n' = n B_(n-1): d/dz is d/dt on P(t + iy)
+        assert [u.derivative(0) for u in bs[n]] == [u.scale(n) for u in bs[n - 1]]
+        # int_0^1 B_n(z) dz = 0, on the real axis y = 0
+        assert [u.integrate_t().eval_exact((1, 0)) for u in bs[n]] == [0, 0]
 
 
 def test_solve_complex_difference_examples():
     assert solve_complex_difference(real_poly(1)) == real_poly(F(-1, 2), 1)
-    assert solve_complex_difference(ComplexPoly.zero()) == ComplexPoly.zero()
+    assert solve_complex_difference(ComplexPoly()) == ComplexPoly()
     f = solve_complex_difference(real_poly(0, 0, 1))  # G = z^2
     assert f == real_poly(0, F(1, 6), F(-1, 2), F(1, 3))
-    assert f.shift(1) - f == real_poly(0, 0, 1)
+    assert [u.shift_t(1) - u for u in parts(f)] == list(parts(real_poly(0, 0, 1)))
 
 
 def test_harmonic_part_examples():
     t, y1 = variables(1)
-    assert harmonic_part(real_poly(0, 0, 1), "real") == t * t - y1 * y1
-    assert harmonic_part(real_poly(0, 1), "imaginary") == y1
+    assert harmonic_part(real_poly(0, 0, 1)) == t * t - y1 * y1
+    assert parts(real_poly(0, 1)) == (t, y1)
     p = real_poly(0, F(1, 6), F(-1, 2), F(1, 3))
     expected = (
         (t ** 3).scale(F(1, 3))
@@ -81,7 +87,7 @@ def test_harmonic_part_examples():
         + (y1 * y1).scale(F(1, 2))
         + t.scale(F(1, 6))
     )
-    assert harmonic_part(p, "real") == expected
+    assert harmonic_part(p) == expected
 
 
 def test_harmonic_part_cauchy_riemann():
@@ -92,8 +98,7 @@ def test_harmonic_part_cauchy_riemann():
             for _ in range(rng.randint(1, 8))
         ]
         p = ComplexPoly(coeffs)
-        re = harmonic_part(p, "real")
-        im = harmonic_part(p, "imaginary")
+        re, im = parts(p)
         assert re.laplacian().is_zero
         assert im.laplacian().is_zero
         assert re.derivative(0) == im.derivative(1)
@@ -114,9 +119,9 @@ def test_conjugate_completion_round_trip():
     for _ in range(20):
         g = random_harmonic_poly(rng, 1, 10)
         p = harmonic_conjugate_completion(g)
-        assert harmonic_part(p, "real") == g
+        assert harmonic_part(p) == g
         # normalization: imaginary part of P(0) vanishes
-        assert p.coeff(0)[1] == 0
+        assert parts(p)[1].eval_exact((0, 0)) == 0
 
 
 def test_conjugate_completion_rejects_bad_input():
@@ -178,3 +183,34 @@ def test_oracle_compare_reports_wrong_solution():
         "general_laplacian": MultiPoly.constant(1, 2),
     }
     assert "r" not in rep.extras
+
+
+def test_oracle_route_calls_nothing_in_laplace(monkeypatch):
+    # the oracle is an independent check only while it shares no code with
+    # the general solver's operators: with every function of laplace made to
+    # raise, wherever the package binds it, the oracle gives the same h
+    fixture = json.loads((FIXTURES / "diffeq_oracle.json").read_text())
+    rng = random.Random(101)
+    gs = [DiffEqProblem.from_json_dict(fixture).g]
+    gs += [random_harmonic_poly(rng, 1, deg, max_terms=6) for deg in (0, 3, 8, 15)]
+    before = [(solve(DiffEqProblem(g, 1)).h, oracle_solve(g)) for g in gs]
+
+    laplace = sys.modules["slab_harmonics.laplace"]
+    package = [m for name, m in sys.modules.items() if name.partition(".")[0] == "slab_harmonics"]
+    for name, func in list(vars(laplace).items()):
+        if not (inspect.isfunction(func) and func.__module__ == laplace.__name__):
+            continue
+
+        def trap(*args, _name=name, **kwargs):
+            raise AssertionError(f"the oracle route called laplace.{_name}")
+
+        for module in package:
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, trap)
+
+    with pytest.raises(AssertionError, match="laplace"):  # the traps are live
+        solve(DiffEqProblem(gs[0], 1))
+    for g, (h, h_oracle) in zip(gs, before):
+        assert oracle_solve(g) == h_oracle
+        assert oracle_compare(g, h).passed
