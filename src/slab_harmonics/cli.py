@@ -19,22 +19,15 @@ import itertools
 import json
 import math
 import os
-import random
 import sys
-from contextlib import contextmanager
+from collections.abc import Callable
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, TypeVar
 
 from . import diffeq as de
 from . import slab as sl
 from .complex_oracle import oracle_compare
 from .poly import MultiPoly, _json_keys
-from .randgen import random_harmonic_poly, random_tfree_poly
 from .report import VerificationReport
-
-
-T = TypeVar("T")
 
 # The most decimal digits an integer in an input file may have: Python's
 # str -> int conversion takes quadratic time (about 0.06 s at this size).
@@ -64,18 +57,21 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-@contextmanager
-def _int_digits(limit: int):
-    """Set Python's int <-> str digit limit (0: none) for the block."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+class _int_digits:
+    """Set Python's int <-> str digit limit (0: none) for a `with` block."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def __enter__(self):
+        self.old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(self.limit)
+
+    def __exit__(self, *exc_info):
+        sys.set_int_max_str_digits(self.old)
 
 
-def _read_input(path: str, parse: Callable[[dict], T]) -> T:
+def _read_input(path: str, parse: Callable[[dict], object]):
     """Load a JSON object from `path` and parse it; malformed content, and an
     integer over _MAX_INPUT_DIGITS digits, raise InputError, which `main`
     turns into exit code 2."""
@@ -101,7 +97,8 @@ def _write(path: str | None, text: str, quiet: bool) -> None:
             sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -234,6 +231,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_self_test(args) -> int:
+    import random  # here, so that no other command loads it at start
+
+    from .randgen import random_harmonic_poly, random_tfree_poly
+
     text = os.environ.get("SLAB_HARMONICS_SEED", "0")
     try:
         seed = int(text)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .diffeq import _residue_check
 from .poly import MultiPoly, _require_harmonic

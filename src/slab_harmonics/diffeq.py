@@ -18,23 +18,21 @@ h(1,y) = u0 + f, so it is the slab solution on (0, 1) with data
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import mul
-from typing import Mapping
 
 from .laplace import _cot_series, _length, _series, poisson_solve
 from .poly import MultiPoly, _json_dim, _require_harmonic
-from .report import VerificationReport
+from .report import Record, VerificationReport
 from .slab import SlabProblem, solve_slab
 
 
-@dataclass(frozen=True)
-class DiffEqProblem:
-    g: MultiPoly
-    d: int
+class DiffEqProblem(Record):
+    __slots__ = ("g", "d")
 
-    def __post_init__(self):
+    def __init__(self, g: MultiPoly, d: int):
+        self._freeze(g, d)
         if self.g.d != self.d:
             raise ValueError("right-hand side dimension does not match problem dimension")
         _require_harmonic(self.g, "right-hand side must be harmonic")
@@ -48,15 +46,20 @@ class DiffEqProblem:
         return cls(d=d, g=MultiPoly.from_json_dict(obj["g"]))
 
 
-@dataclass(frozen=True)
-class DiffEqSolution:
-    h: MultiPoly
+class DiffEqSolution(Record):
+    __slots__ = ("h",)
+
+    def __init__(self, h: MultiPoly):
+        self._freeze(h)
 
 
 def _potential(g: MultiPoly) -> MultiPoly:
     """G with Lap_y G = dg/dt(0,y), which equals Lap_y(int_0^t g) + dg/dt
-    for harmonic g: that sum has t-derivative Lap g = 0."""
-    return poisson_solve(g.derivative(0).trace(0))
+    for harmonic g: that sum has t-derivative Lap g = 0.  The numerators of
+    dg/dt(0,y) are the t^1 numerators of g's grouping by y-monomial, which
+    the harmonicity check of g has built."""
+    p = {(0,) + rest: a[1] for rest, a in g._fibres().items() if len(a) > 1 and a[1]}
+    return poisson_solve(MultiPoly._reduced(g.d, p, g._den))
 
 
 def solve(prob: DiffEqProblem) -> DiffEqSolution:

@@ -22,8 +22,8 @@ Poisson solver uses the radial |y|^2 ansatz per homogeneous component.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from operator import add
-from typing import Sequence
 
 from .poly import MultiPoly, Scalar, _frac, _laplacian_y_num
 

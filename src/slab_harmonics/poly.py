@@ -23,9 +23,8 @@ from fractions import Fraction
 from collections.abc import Mapping, Sequence
 from itertools import chain, repeat
 from operator import add, itemgetter, mul
-from typing import Union
 
-Scalar = Union[Fraction, int, str]
+Scalar = Fraction | int | str
 
 Numerators = dict[tuple[int, ...], int]
 

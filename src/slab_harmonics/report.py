@@ -3,11 +3,12 @@
 A report carries the residual polynomials themselves rather than norms, so a
 failure is directly diagnosable and machine-checkable: the status is "pass"
 exactly when every residual is the zero polynomial.
+
+`Record` is the frozen value-object base of the report and of the problem
+and solution classes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .poly import MultiPoly
 
@@ -15,13 +16,48 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    name: str
-    status: str
-    residuals: dict[str, MultiPoly]
-    extras: dict[str, MultiPoly] = field(default_factory=dict)
-    elapsed: float = 0.0
+class Record:
+    """An immutable value: the subclass's __slots__ name its fields in
+    constructor order, its __init__ sets them once with _freeze, and == and
+    repr go field by field."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class VerificationReport(Record):
+    __slots__ = ("name", "status", "residuals", "extras", "elapsed")
+
+    def __init__(
+        self,
+        name: str,
+        status: str,
+        residuals: dict[str, MultiPoly],
+        extras: dict[str, MultiPoly] | None = None,
+        elapsed: float = 0.0,
+    ):
+        self._freeze(name, status, residuals, {} if extras is None else extras, elapsed)
 
     @classmethod
     def from_residuals(

@@ -11,9 +11,7 @@ and every identity below is exact.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
+from collections.abc import Mapping
 
 from .laplace import (
     _inverse_trace_series,
@@ -25,22 +23,16 @@ from .laplace import (
     odd_ck_extension,
 )
 from .poly import MultiPoly, Scalar, _frac, _json_dim, _json_rational, _require_harmonic
-from .report import VerificationReport
+from .report import Record, VerificationReport
 
 
-@dataclass(frozen=True)
-class SlabProblem:
+class SlabProblem(Record):
     """Boundary data f0 at t = a and f1 at t = b, both t-free."""
 
-    a: Fraction
-    b: Fraction
-    d: int
-    f0: MultiPoly
-    f1: MultiPoly
+    __slots__ = ("a", "b", "d", "f0", "f1")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
+    def __init__(self, a: Scalar, b: Scalar, d: int, f0: MultiPoly, f1: MultiPoly):
+        self._freeze(_frac(a), _frac(b), d, f0, f1)
         if self.a >= self.b:
             raise ValueError(f"slab endpoints must satisfy a < b, got a={self.a}, b={self.b}")
         if self.f0.d != self.d or self.f1.d != self.d:

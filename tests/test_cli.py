@@ -347,6 +347,17 @@ def test_one_command_help_matches_the_full_parser(name, capsys):
     assert capsys.readouterr().out == subparsers.choices[name].format_help()
 
 
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_texts_match_their_goldens(command, monkeypatch, capsys):
+    # tests/fixtures/help/ holds each help text as printed at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    golden = FIXTURES / "help" / f"{command or 'slab-harmonics'}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("argv", [
     *([name, "--input", "p.json"] + rest
       for name in ["solve-slab", "solve-diffeq", "verify", "oracle-compare"]

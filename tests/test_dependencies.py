@@ -1,6 +1,9 @@
-"""The package runs on the standard library alone: `dependencies = []`."""
+"""The package runs on the standard library alone: `dependencies = []`; the
+CLI loads only the part of it that the commands run."""
 
 import ast
+import os
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -32,3 +35,20 @@ def test_package_imports_only_itself_and_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert not outside
+
+
+def test_the_cli_imports_only_the_standard_library_it_runs():
+    # -S: a site-packages .pth file may import some of these modules itself
+    code = "import slab_harmonics.cli, sys; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    unused = {"dataclasses", "inspect", "typing", "pathlib", "random", "contextlib",
+              "slab_harmonics.randgen"}
+    assert not loaded & unused
+    # bench/tracer.py reads these from sys.modules right after importing the cli
+    traced = {"cli", "poly", "laplace", "slab", "diffeq", "complex_oracle"}
+    assert {f"slab_harmonics.{name}" for name in traced} <= loaded
