@@ -99,7 +99,7 @@ def _write(path: str | None, text: str, quiet: bool) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
@@ -277,22 +277,60 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], bool, bool]] = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
-    """Give `parser` the options of command `name`, in the order its help lists them."""
-    func, files, needs_grid = _COMMANDS[name]
+def _options(name: str) -> dict[str, dict]:
+    """Command `name`'s options `--<dest>` as {dest: add_argument keywords}, in help order."""
+    _, files, needs_grid = _COMMANDS[name]
+    options = {}
     if files:
-        parser.add_argument("--input", required=True, help="input JSON file")
-        parser.add_argument("--output", help="output file (default: stdout)")
+        options["input"] = {"required": True, "help": "input JSON file"}
+        options["output"] = {"help": "output file (default: stdout)"}
     if needs_grid:
-        parser.add_argument(
-            "--grid",
-            required=True,
-            help='sampling grid, e.g. "t=0:1:0.5,y1=-1:1:0.5"',
-        )
-    parser.add_argument("--quiet", action="store_true")
+        options["grid"] = {"required": True, "help": 'sampling grid, e.g. "t=0:1:0.5,y1=-1:1:0.5"'}
+    options["quiet"] = {"action": "store_true", "default": False}
     if name == "self-test":
-        parser.add_argument("--rounds", type=int, default=20)
-    parser.set_defaults(func=func, command=name)
+        options["rounds"] = {"type": int, "default": 20}
+    return options
+
+
+def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give `parser` the options of command `name`."""
+    for dest, keywords in _options(name).items():
+        parser.add_argument(f"--{dest}", **keywords)
+    parser.set_defaults(func=_COMMANDS[name][0], command=name)
+
+
+def _scan(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace command `argv[0]`'s parser gives when each option is one it
+    takes, in full and once, and no value starts with "-" (--rounds: ASCII
+    digits); None for any other command line, which is left to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _options(argv[0])
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        dest = token[2:]
+        if not token.startswith("--") or dest not in options or dest in given:
+            return None
+        keywords = options[dest]
+        if "action" in keywords:  # --quiet
+            given[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is declined as "-" is
+        if value.startswith("-"):
+            return None
+        if "type" in keywords:  # --rounds
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # over Python's int <-> str digit limit
+                return None
+        given[dest] = value
+    if any(kw.get("required") and dest not in given for dest, kw in options.items()):
+        return None
+    values = {dest: given.get(dest, kw.get("default")) for dest, kw in options.items()}
+    return argparse.Namespace(**values, func=_COMMANDS[argv[0]][0], command=argv[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,14 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in _COMMANDS:
+    # a plain command line needs no parser: building one and parsing takes
+    # about 0.16 ms, scanning 5 us
+    args = _scan(argv)
+    if args is None and argv and argv[0] in _COMMANDS:
         # build the invoked command's parser alone: building the full one
         # (seven parsers) takes about 1 ms, twenty times the parse itself
         name = argv[0]
         parser = argparse.ArgumentParser(prog=f"slab-harmonics {name}")
         _add_options(parser, name)
         args = parser.parse_args(argv[1:])
-    else:
+    elif args is None:
         args = build_parser().parse_args(argv)
     try:
         with _int_digits(0):

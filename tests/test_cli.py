@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slab_harmonics import MultiPoly, VerificationReport, cli, diffeq, poly, slab, variables
 from slab_harmonics.cli import build_parser, main
@@ -378,20 +380,152 @@ def test_main_parses_as_the_full_parser(argv, monkeypatch):
     assert parsed == [build_parser().parse_args(argv)]
 
 
+# tokens that a command line may hold besides the options of its command
+_SCAN_TOKENS = [
+    *cli._COMMANDS, "--input", "--output", "--grid", "--quiet", "--rounds",
+    "--in", "--out", "--gr", "--q", "--r", "--input=p.json", "--output=o.json", "--rounds=3",
+    "-h", "--help", "--", "-", "", "-5", "+5", "1_0", "\u0663", "5", "007", "p.json", "++quiet",
+]
+_SCAN_VALUES = ["p.json", "t=0:1:1,y1=0:1:1", "0", "3", "007", "a b", ""]
+_ODD_VALUES = ["-", "-5", "+5", "1_0", "\u0663", "\u00b2", " 5", "1" * 4301, "--quiet", "-h"]
+
+
+@st.composite
+def _command_lines(draw):
+    """Some of a command's options in any order, mostly with plain values,
+    and up to two more tokens put anywhere."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    dests = draw(st.permutations(list(cli._options(name))))
+    argv = [name]
+    for dest in dests[: draw(st.integers(0, len(dests)))]:
+        argv.append(f"--{dest}")
+        if dest != "quiet":
+            argv.append(draw(st.sampled_from(_SCAN_VALUES * 3 + _ODD_VALUES)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_SCAN_TOKENS)))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=_command_lines())
+def test_scan_gives_what_the_command_parser_gives(argv):
+    # each command line the scanner reads parses to the same Namespace under
+    # the command's own parser; any other is left to that parser
+    scanned = cli._scan(argv)
+    if scanned is not None:
+        parser = argparse.ArgumentParser(prog=f"slab-harmonics {argv[0]}")
+        cli._add_options(parser, argv[0])
+        assert vars(scanned) == vars(parser.parse_args(argv[1:])), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--input=x"],
+    ["verify", "--in", "x"],
+    ["verify", "--input", "x", "--quiet", "--quiet"],
+    ["verify", "--input", "-"],
+    ["self-test", "--rounds", "-1"],
+    ["self-test", "--rounds", "+5"],
+    ["self-test", "--rounds", "\u0663"],
+    ["verify", "--input", "x", "--"],
+    ["verify", "--input", "x", "-h"],
+    ["verify", "--quiet"],  # no --input
+    ["eval", "--input", "x"],  # no --grid
+])
+def test_scan_leaves_other_command_lines_to_argparse(argv):
+    assert cli._scan(argv) is None
+
+
+# "{out}" stands for an output file in the test's directory
+_GRID = "t=0:1:0.5,y1=-1:1:0.5"
+_PLAIN_FORMS = [
+    # as the benchmark sends them
+    ["solve-slab", "--input", fixture("slab_basic.json"), "--output", "{out}", "--quiet"],
+    ["solve-diffeq", "--input", fixture("diffeq_basic.json"), "--output", "{out}", "--quiet"],
+    ["oracle-compare", "--input", fixture("diffeq_oracle.json"), "--output", "{out}", "--quiet"],
+    ["verify", "--input", fixture("verify_good.json"), "--quiet"],
+    ["self-test", "--rounds", "0", "--quiet"],
+    # the README's CLI block
+    ["solve-slab", "--input", fixture("slab_basic.json")],
+    ["solve-diffeq", "--input", fixture("diffeq_basic.json"), "--quiet"],
+    ["verify", "--input", fixture("verify_good.json"), "--output", "{out}"],
+    ["oracle-compare", "--input", fixture("diffeq_oracle.json")],
+    ["eval", "--input", fixture("poly_saddle.json"), "--grid", _GRID],
+    ["eval", "--input", fixture("poly_saddle.json"), "--grid", _GRID, "--output", "{out}", "--quiet"],
+    ["self-test"],
+    ["self-test", "--quiet", "--rounds", "1"],
+]
+
+
 @pytest.mark.parametrize("from_sys_argv", [False, True])
-def test_a_named_command_builds_one_parser(from_sys_argv, monkeypatch):
-    argv = ["verify", "--input", fixture("verify_good.json"), "--quiet"]
+@pytest.mark.parametrize("argv, built", [
+    *((argv, []) for argv in _PLAIN_FORMS),
+    (["verify", f"--input={fixture('verify_good.json')}", "--quiet"], ["slab-harmonics verify"]),
+    (["verify", "--in", fixture("verify_good.json"), "--quiet"], ["slab-harmonics verify"]),
+])
+def test_a_named_command_builds_at_most_one_parser(argv, built, from_sys_argv, monkeypatch, tmp_path):
+    # a plain command line builds no parser; any other spelling builds only
+    # the command's own
+    argv = [token.replace("{out}", str(tmp_path / "out")) for token in argv]
     monkeypatch.setattr(sys, "argv", ["slab-harmonics", *argv])
-    built = []
+    parsers = []
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
+        parsers.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert (main() if from_sys_argv else main(argv)) == 0
-    assert built == ["slab-harmonics verify"]
+    assert parsers == built
+
+
+def _run(argv, out, capsys):
+    """Exit code, output file (less its run time) and printed text of `argv`
+    run through `main`, with "{out}" standing for `out`."""
+    code = main([token.replace("{out}", str(out)) for token in argv])
+    if not out.exists():
+        written = None
+    elif out.suffix == ".csv":
+        written = out.read_text()
+    else:
+        written = json.loads(out.read_text())
+        for report in (written, written.get("report", {})):
+            report.pop("elapsed_seconds", None)
+    captured = capsys.readouterr()
+    return code, written, captured.out, captured.err
+
+
+@pytest.mark.parametrize("plain, spelled", [
+    (["solve-slab", "--input", fixture("slab_basic.json"), "--output", "{out}", "--quiet"],
+     ["solve-slab", f"--input={fixture('slab_basic.json')}", "--output", "{out}", "--quiet"]),
+    (["solve-diffeq", "--input", fixture("diffeq_basic.json"), "--output", "{out}"],
+     ["solve-diffeq", "--in", fixture("diffeq_basic.json"), "--out", "{out}"]),
+    (["eval", "--input", fixture("poly_saddle.json"), "--grid", _GRID, "--output", "{out}"],
+     ["eval", "--out={out}", "--grid", _GRID, "--in", fixture("poly_saddle.json")]),
+    (["oracle-compare", "--input", fixture("diffeq_oracle.json"), "--output", "{out}"],
+     ["oracle-compare", "--output", "FIRST", "--input", fixture("diffeq_oracle.json"), "--output", "{out}"]),
+    (["verify", "--input", fixture("verify_tampered.json"), "--output", "{out}", "--quiet"],
+     ["verify", "--quiet", "--output", "{out}", "--input", fixture("verify_tampered.json"), "--quiet"]),
+    (["self-test", "--rounds", "0", "--quiet"], ["self-test", "--rounds=0", "--quiet"]),
+])
+def test_argparse_spellings_run_as_the_plain_form(plain, spelled, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where FIRST would be written
+    out = tmp_path / ("out.csv" if plain[0] == "eval" else "out.json")
+    expected = _run(plain, out, capsys)
+    out.unlink(missing_ok=True)
+    assert _run(spelled, out, capsys) == expected
+    assert not (tmp_path / "FIRST").exists()  # a repeated --output: the last wins
+
+
+def test_argparse_reads_a_negative_rounds_and_a_late_help(monkeypatch, capsys):
+    assert main(["self-test", "--rounds", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --rounds must be >= 0, got -1\n")
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", fixture("verify_good.json"), "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (FIXTURES / "help" / "verify.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv, stdout_check", [
@@ -531,7 +665,8 @@ def test_writers_emit_one_line(tmp_path):
     ["eval", "--input", fixture("poly_saddle.json"), "--grid", "t=0:1:1,y1=0:1:1"],
 ])
 def test_unwritable_output_exits_2_in_one_line(argv, tmp_path, capsys):
-    for out in (tmp_path / "missing" / "out.json", tmp_path):  # no parent; a directory
+    # no parent; a directory; a NUL byte, for which open() raises ValueError
+    for out in (tmp_path / "missing" / "out.json", tmp_path, tmp_path / "a\x00b"):
         assert main(argv + ["--output", str(out), "--quiet"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
