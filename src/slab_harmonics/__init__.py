@@ -12,7 +12,6 @@ from .complex_oracle import (
 )
 from .diffeq import (
     DiffEqProblem,
-    DiffEqSolution,
     compare_solutions,
     harmonic_t_antiderivative,
     solve,
@@ -41,7 +40,6 @@ from .slab import (
 __all__ = [
     "ComplexPoly",
     "DiffEqProblem",
-    "DiffEqSolution",
     "MultiPoly",
     "SlabProblem",
     "VerificationReport",

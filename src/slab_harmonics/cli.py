@@ -44,19 +44,6 @@ class InputError(Exception):
     """Malformed or invalid input file; maps to exit code 2."""
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except RecursionError as exc:
-        raise InputError(f"cannot read {path}: JSON nested too deeply") from exc
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: top-level JSON value must be an object")
-    return obj
-
-
 class _int_digits:
     """Set Python's int <-> str digit limit (0: none) for a `with` block."""
 
@@ -72,12 +59,24 @@ class _int_digits:
 
 
 def _read_input(path: str, parse: Callable[[dict], object]):
-    """Load a JSON object from `path` and parse it; malformed content, and an
-    integer over _MAX_INPUT_DIGITS digits, raise InputError, which `main`
-    turns into exit code 2."""
+    """Load the JSON object in file `path` and parse it; a file that cannot
+    be read, malformed content and an integer over _MAX_INPUT_DIGITS digits
+    raise InputError, which `main` turns into exit code 2."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path, or not UTF-8
+        raise InputError(f"cannot read {path!r}: {exc}") from exc
     try:
         with _int_digits(_MAX_INPUT_DIGITS):
-            return parse(_load_json(path))
+            obj = json.loads(text)
+            if not isinstance(obj, dict):
+                raise InputError(f"{path}: top-level JSON value must be an object")
+            return parse(obj)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"cannot read {path!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"cannot read {path!r}: JSON nested too deeply") from exc
     except KeyError as exc:
         raise InputError(f"missing key {exc}") from exc
     except ValueError as exc:
@@ -100,12 +99,17 @@ def _write(path: str | None, text: str, quiet: bool) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _write_json(path: str | None, obj: dict, quiet: bool) -> None:
     # one line: json.dumps with indent runs CPython's pure-Python encoder
     _write(path, json.dumps(obj) + "\n", quiet)
+
+
+def _write_solution(args, key: str, h: MultiPoly, report: VerificationReport) -> None:
+    """Write {key: h, "report": report} to --output, or to stdout unless --quiet."""
+    _write_json(args.output, {key: h.to_json_dict(), "report": report.to_json_dict()}, args.quiet)
 
 
 def _report_exit(report: VerificationReport, quiet: bool) -> int:
@@ -123,23 +127,15 @@ def cmd_solve_slab(args) -> int:
     prob = _read_input(args.input, sl.SlabProblem.from_json_dict)
     h = sl.solve_slab(prob)
     report = sl.verify_boundary(h, prob)
-    _write_json(
-        args.output,
-        {"solution": h.to_json_dict(), "report": report.to_json_dict()},
-        args.quiet,
-    )
+    _write_solution(args, "solution", h, report)
     return _report_exit(report, args.quiet)
 
 
 def cmd_solve_diffeq(args) -> int:
     prob = _read_input(args.input, de.DiffEqProblem.from_json_dict)
-    h = de.solve(prob).h
+    h = de.solve(prob)
     report = de.verify_difference(h, prob.g)
-    _write_json(
-        args.output,
-        {"h": h.to_json_dict(), "report": report.to_json_dict()},
-        args.quiet,
-    )
+    _write_solution(args, "h", h, report)
     return _report_exit(report, args.quiet)
 
 
@@ -167,13 +163,9 @@ def cmd_oracle_compare(args) -> int:
     prob = _read_input(args.input, de.DiffEqProblem.from_json_dict)
     if prob.d != 1:
         raise InputError("oracle-compare requires d = 1")
-    sol = de.solve(prob)
-    report = oracle_compare(prob.g, sol.h)
-    _write_json(
-        args.output,
-        {"solution": sol.h.to_json_dict(), "report": report.to_json_dict()},
-        args.quiet,
-    )
+    h = de.solve(prob)
+    report = oracle_compare(prob.g, h)
+    _write_solution(args, "solution", h, report)
     if report.passed and not args.quiet:
         print(f"r(y) = {report.extras['r']}")
     return _report_exit(report, args.quiet)
@@ -253,7 +245,7 @@ def cmd_self_test(args) -> int:
         diffeq = de.DiffEqProblem(random_harmonic_poly(rng, d, 6), d)
         for kind, prob, report in (
             ("slab", slab, sl.verify_boundary(sl.solve_slab(slab), slab)),
-            ("diffeq", diffeq, de.verify_difference(de.solve(diffeq).h, diffeq.g)),
+            ("diffeq", diffeq, de.verify_difference(de.solve(diffeq), diffeq.g)),
         ):
             if not report.passed:
                 failures += 1
@@ -265,38 +257,30 @@ def cmd_self_test(args) -> int:
     return 1 if failures else 0
 
 
-# name -> (handler, takes --input/--output, takes --grid); self-test also
-# takes --rounds
-_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], bool, bool]] = {
-    "solve-slab": (cmd_solve_slab, True, False),
-    "solve-diffeq": (cmd_solve_diffeq, True, False),
-    "verify": (cmd_verify, True, False),
-    "oracle-compare": (cmd_oracle_compare, True, False),
-    "eval": (cmd_eval, True, True),
-    "self-test": (cmd_self_test, False, False),
+_FILES = {
+    "input": {"required": True, "help": "input JSON file"},
+    "output": {"help": "output file (default: stdout)"},
 }
+_GRID = {"grid": {"required": True, "help": 'sampling grid, e.g. "t=0:1:0.5,y1=-1:1:0.5"'}}
+_QUIET = {"quiet": {"action": "store_true", "default": False}}
 
-
-def _options(name: str) -> dict[str, dict]:
-    """Command `name`'s options `--<dest>` as {dest: add_argument keywords}, in help order."""
-    _, files, needs_grid = _COMMANDS[name]
-    options = {}
-    if files:
-        options["input"] = {"required": True, "help": "input JSON file"}
-        options["output"] = {"help": "output file (default: stdout)"}
-    if needs_grid:
-        options["grid"] = {"required": True, "help": 'sampling grid, e.g. "t=0:1:0.5,y1=-1:1:0.5"'}
-    options["quiet"] = {"action": "store_true", "default": False}
-    if name == "self-test":
-        options["rounds"] = {"type": int, "default": 20}
-    return options
+# name -> (handler, its options --<dest> as {dest: add_argument keywords}), in help order
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], dict[str, dict]]] = {
+    "solve-slab": (cmd_solve_slab, {**_FILES, **_QUIET}),
+    "solve-diffeq": (cmd_solve_diffeq, {**_FILES, **_QUIET}),
+    "verify": (cmd_verify, {**_FILES, **_QUIET}),
+    "oracle-compare": (cmd_oracle_compare, {**_FILES, **_QUIET}),
+    "eval": (cmd_eval, {**_FILES, **_GRID, **_QUIET}),
+    "self-test": (cmd_self_test, {**_QUIET, "rounds": {"type": int, "default": 20}}),
+}
 
 
 def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
     """Give `parser` the options of command `name`."""
-    for dest, keywords in _options(name).items():
+    func, options = _COMMANDS[name]
+    for dest, keywords in options.items():
         parser.add_argument(f"--{dest}", **keywords)
-    parser.set_defaults(func=_COMMANDS[name][0], command=name)
+    parser.set_defaults(func=func, command=name)
 
 
 def _scan(argv: list[str]) -> argparse.Namespace | None:
@@ -305,7 +289,7 @@ def _scan(argv: list[str]) -> argparse.Namespace | None:
     digits); None for any other command line, which is left to argparse."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    options = _options(argv[0])
+    func, options = _COMMANDS[argv[0]]
     given: dict[str, object] = {}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -330,7 +314,7 @@ def _scan(argv: list[str]) -> argparse.Namespace | None:
     if any(kw.get("required") and dest not in given for dest, kw in options.items()):
         return None
     values = {dest: given.get(dest, kw.get("default")) for dest, kw in options.items()}
-    return argparse.Namespace(**values, func=_COMMANDS[argv[0]][0], command=argv[0])
+    return argparse.Namespace(**values, func=func, command=argv[0])
 
 
 def build_parser() -> argparse.ArgumentParser:

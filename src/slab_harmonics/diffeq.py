@@ -46,13 +46,6 @@ class DiffEqProblem(Record):
         return cls(d=d, g=MultiPoly.from_json_dict(obj["g"]))
 
 
-class DiffEqSolution(Record):
-    __slots__ = ("h",)
-
-    def __init__(self, h: MultiPoly):
-        self._freeze(h)
-
-
 def _potential(g: MultiPoly) -> MultiPoly:
     """G with Lap_y G = dg/dt(0,y), which equals Lap_y(int_0^t g) + dg/dt
     for harmonic g: that sum has t-derivative Lap g = 0.  The numerators of
@@ -62,7 +55,7 @@ def _potential(g: MultiPoly) -> MultiPoly:
     return poisson_solve(MultiPoly._reduced(g.d, p, g._den))
 
 
-def solve(prob: DiffEqProblem) -> DiffEqSolution:
+def solve(prob: DiffEqProblem) -> MultiPoly:
     """Harmonic h with shift_t(h,1) - h = g: the slab solution on (0, 1)
     with data (u0, u0 + f), where u0 = -(f + K G)/2, f = g(0,y),
     G = poisson_solve(dg/dt(0,y)) and K = D cot(D/2)."""
@@ -70,7 +63,7 @@ def solve(prob: DiffEqProblem) -> DiffEqSolution:
     potential = _potential(prob.g)
     (k_potential,) = _series(potential, [_cot_series(_length(potential))])
     u0 = (f + k_potential).scale(Fraction(-1, 2))
-    return DiffEqSolution(h=solve_slab(SlabProblem(Fraction(0), Fraction(1), prob.d, u0, u0 + f)))
+    return solve_slab(SlabProblem(Fraction(0), Fraction(1), prob.d, u0, u0 + f))
 
 
 def _solve_of_parity(g: MultiPoly, parity: str) -> MultiPoly:
@@ -82,7 +75,7 @@ def _solve_of_parity(g: MultiPoly, parity: str) -> MultiPoly:
     other, other_parity = (odd_part, "odd") if parity == "even" else (even_part, "even")
     if not other.is_zero:
         raise ValueError(f"{name} requires an {parity} input, got {other_parity} part {other}")
-    return solve(DiffEqProblem(g, g.d)).h
+    return solve(DiffEqProblem(g, g.d))
 
 
 def solve_even(g_even: MultiPoly) -> MultiPoly:

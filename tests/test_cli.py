@@ -240,6 +240,15 @@ def test_oracle_compare(tmp_path, capsys):
     assert MultiPoly.from_json_dict(obj["report"]["extras"]["r"]).is_zero
 
 
+def test_oracle_compare_prints_the_solution_then_r_then_the_verdict(capsys):
+    assert main(["oracle-compare", "--input", fixture("diffeq_oracle.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3, lines
+    assert json.loads(lines[0])["report"]["status"] == "pass"
+    assert lines[1] == "r(y) = 0"
+    assert lines[2] == "oracle_compare: pass"
+
+
 def test_oracle_compare_requires_d1(tmp_path, capsys):
     prob = {"d": 2, "g": MultiPoly.zero(2).to_json_dict()}
     path = tmp_path / "d2.json"
@@ -374,10 +383,23 @@ def test_help_texts_match_their_goldens(command, monkeypatch, capsys):
 def test_main_parses_as_the_full_parser(argv, monkeypatch):
     # record the parsed arguments in place of running the command
     parsed = []
-    for name, (_, files, needs_grid) in list(cli._COMMANDS.items()):
-        monkeypatch.setitem(cli._COMMANDS, name, (parsed.append, files, needs_grid))
+    for name, (_, options) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (parsed.append, options))
     main(argv)
     assert parsed == [build_parser().parse_args(argv)]
+
+
+def test_readme_cli_block_lists_each_command_with_its_options():
+    # the code block under the README's "## CLI" heading, one line a command
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    listed = {}
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        assert words[0] == "slab-harmonics" and words[1] not in listed, line
+        flags = [w.strip("[]") for w in words[2:]]
+        listed[words[1]] = sorted(w[2:] for w in flags if w.startswith("--"))
+    assert listed == {name: sorted(options) for name, (_, options) in cli._COMMANDS.items()}
 
 
 # tokens that a command line may hold besides the options of its command
@@ -395,7 +417,7 @@ def _command_lines(draw):
     """Some of a command's options in any order, mostly with plain values,
     and up to two more tokens put anywhere."""
     name = draw(st.sampled_from(list(cli._COMMANDS)))
-    dests = draw(st.permutations(list(cli._options(name))))
+    dests = draw(st.permutations(list(cli._COMMANDS[name][1])))
     argv = [name]
     for dest in dests[: draw(st.integers(0, len(dests)))]:
         argv.append(f"--{dest}")
@@ -665,13 +687,38 @@ def test_writers_emit_one_line(tmp_path):
     ["eval", "--input", fixture("poly_saddle.json"), "--grid", "t=0:1:1,y1=0:1:1"],
 ])
 def test_unwritable_output_exits_2_in_one_line(argv, tmp_path, capsys):
-    # no parent; a directory; a NUL byte, for which open() raises ValueError
-    for out in (tmp_path / "missing" / "out.json", tmp_path, tmp_path / "a\x00b"):
-        assert main(argv + ["--output", str(out), "--quiet"]) == 2
+    # no parent; a directory; a NUL byte, for which open() raises ValueError;
+    # a control character, which the message escapes
+    for out in map(str, (tmp_path / "missing" / "out.json", tmp_path, tmp_path / "a\x00b",
+                         tmp_path / "missing" / "a\x01b")):
+        assert main(argv + ["--output", out, "--quiet"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot write {out}: ")
-        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: cannot write {out!r}: ")
+        assert captured.err.count("\n") == 1 and captured.err[:-1].isprintable()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-slab"],
+    ["solve-diffeq"],
+    ["verify"],
+    ["oracle-compare"],
+    ["eval", "--grid", "t=0:1:1,y1=0:1:1"],
+])
+def test_unreadable_input_exits_2_in_one_line_naming_the_path(argv, tmp_path, capsys):
+    # no such file; a directory; a NUL byte, for which open() raises
+    # ValueError; a control character, which the message escapes; a file
+    # that is not UTF-8
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"d": 1, "g": "\xff"}')
+    for path in map(str, (tmp_path / "missing.json", tmp_path, tmp_path / "a\x00b",
+                          tmp_path / "a\x01b", not_utf8)):
+        assert main(argv + ["--input", path, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path!r}: "), captured.err
+        assert captured.err.count("\n") == 1 and captured.err[:-1].isprintable()
+    assert "'utf-8' codec can't decode byte 0xff" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -85,7 +85,7 @@ def bundle(draw, d):
         h = solve_slab(prob)
     else:
         prob = DiffEqProblem(random_harmonic_poly(rng, d, 4), d)
-        h = solve(prob).h
+        h = solve(prob)
     h = draw(st.one_of(st.just(h.to_json_dict()), polynomial(d)))
     return {"kind": draw(st.sampled_from([kind, kind, "other"])), "problem": prob.to_json_dict(), "h": h}
 
