@@ -71,7 +71,7 @@ def _read_input(path: str, parse: Callable[[dict], object]):
         with _int_digits(_MAX_INPUT_DIGITS):
             obj = json.loads(text)
             if not isinstance(obj, dict):
-                raise InputError(f"{path}: top-level JSON value must be an object")
+                raise InputError(f"{path!r}: top-level JSON value must be an object")
             return parse(obj)
     except json.JSONDecodeError as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from exc
@@ -82,7 +82,7 @@ def _read_input(path: str, parse: Callable[[dict], object]):
     except ValueError as exc:
         if str(exc).startswith("Exceeds the limit"):  # Python's int <-> str limit
             raise InputError(
-                f"{path} holds an integer of more than {_MAX_INPUT_DIGITS:,} digits, "
+                f"{path!r} holds an integer of more than {_MAX_INPUT_DIGITS:,} digits, "
                 "the bound for input files"
             ) from exc
         raise InputError(str(exc)) from exc
@@ -102,14 +102,11 @@ def _write(path: str | None, text: str, quiet: bool) -> None:
         raise InputError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _write_json(path: str | None, obj: dict, quiet: bool) -> None:
-    # one line: json.dumps with indent runs CPython's pure-Python encoder
-    _write(path, json.dumps(obj) + "\n", quiet)
-
-
 def _write_solution(args, key: str, h: MultiPoly, report: VerificationReport) -> None:
-    """Write {key: h, "report": report} to --output, or to stdout unless --quiet."""
-    _write_json(args.output, {key: h.to_json_dict(), "report": report.to_json_dict()}, args.quiet)
+    """Write {key: h, "report": report} as one line of JSON to --output, or
+    to stdout unless --quiet."""
+    text = '{"%s": %s, "report": %s}\n' % (key, h.to_json_text(), report.to_json_text())
+    _write(args.output, text, args.quiet)
 
 
 def _report_exit(report: VerificationReport, quiet: bool) -> int:
@@ -155,7 +152,7 @@ def cmd_verify(args) -> int:
     # raises ValueError there, and that is malformed input
     report = _read_input(args.input, _check_bundle)
     if args.output:
-        _write_json(args.output, report.to_json_dict(), args.quiet)
+        _write(args.output, report.to_json_text() + "\n", args.quiet)
     return _report_exit(report, args.quiet)
 
 

@@ -17,10 +17,11 @@ appear only at the edges: scalar arguments, the `terms` view and the value of
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain, repeat
 from operator import add, itemgetter, mul
 
@@ -100,14 +101,6 @@ def _t_fibres(num: Numerators) -> dict[tuple[int, ...], list[int]]:
             a += [0] * (k + 1 - len(a))
         a[k] = v
     return fibres
-
-
-def _ratio_str(v: int, den: int) -> str:
-    """str(Fraction(v, den)) for den > 0, without building the Fraction."""
-    if den == 1:
-        return str(v)
-    g = math.gcd(v, den)
-    return str(v // g) if g == den else f"{v // g}/{den // g}"
 
 
 class MultiPoly:
@@ -464,18 +457,32 @@ class MultiPoly:
 
     # -- canonical form and serialization -------------------------------------
 
-    def _sorted(self) -> list[tuple[tuple[int, ...], int]]:
-        """Numerators in canonical graded-lexicographic order, leading term first."""
-        return sorted(self._num.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    def _ratios(self) -> Iterator[tuple[tuple[int, ...], int, str]]:
+        """(exps, p, tail) for each term in canonical graded-lexicographic
+        order, leading term first, where the coefficient str(Fraction) would
+        print is "%d%s" % (p, tail): tail is "/q", or "" for q = 1.  The
+        order comes from one decorated sort, and each distinct gcd of a
+        numerator with the denominator gets its tail once."""
+        num, den = self._num, self._den
+        tails: dict[int, str] = {}
+        for _, e in sorted(zip(map(sum, num), num), reverse=True):
+            v = num[e]
+            g = math.gcd(v, den)
+            tail = tails.get(g)
+            if tail is None:
+                tails[g] = tail = "" if g == den else "/%d" % (den // g)
+            yield e, v // g, tail
+
+    def to_json_text(self) -> str:
+        """The text json.dumps(self.to_json_dict()) gives, written in one
+        pass without a dict per term."""
+        terms = ", ".join(
+            ['{"coeff": "%d%s", "exps": %s}' % (p, tail, list(e)) for e, p, tail in self._ratios()]
+        )
+        return '{"d": %d, "terms": [%s]}' % (self.d, terms)
 
     def to_json_dict(self) -> dict:
-        den = self._den
-        return {
-            "d": self.d,
-            "terms": [
-                {"coeff": _ratio_str(v, den), "exps": list(e)} for e, v in self._sorted()
-            ],
-        }
+        return json.loads(self.to_json_text())
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "MultiPoly":
@@ -504,20 +511,20 @@ class MultiPoly:
         if not self._num:
             return "0"
         parts: list[str] = []
-        for exps, v in self._sorted():
+        for exps, p, tail in self._ratios():
             factors = [
                 self._var_name(i) if e == 1 else f"{self._var_name(i)}^{e}"
                 for i, e in enumerate(exps)
                 if e
             ]
-            size = _ratio_str(abs(v), self._den)
+            size = "%d%s" % (abs(p), tail)
             if not factors:
                 body = size
             elif size == "1":
                 body = "*".join(factors)
             else:
                 body = "*".join([size] + factors)
-            sign = "-" if v < 0 else "+"
+            sign = "-" if p < 0 else "+"
             parts.append(f"{sign} {body}")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]

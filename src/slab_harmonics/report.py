@@ -10,6 +10,8 @@ and solution classes.
 
 from __future__ import annotations
 
+import json
+
 from .poly import MultiPoly
 
 PASS = "pass"
@@ -77,13 +79,23 @@ class VerificationReport(Record):
     def nonzero_residuals(self) -> dict[str, MultiPoly]:
         return {k: r for k, r in self.residuals.items() if not r.is_zero}
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "check": self.name,
-            "status": self.status,
-            "residuals": {k: r.to_json_dict() for k, r in self.residuals.items()},
-            "elapsed_seconds": self.elapsed,
-        }
+    def to_json_text(self) -> str:
+        """The text json.dumps(self.to_json_dict()) gives: the scalars through
+        json.dumps, each polynomial through MultiPoly.to_json_text."""
+        text = '{"check": %s, "status": %s, "residuals": %s, "elapsed_seconds": %s' % (
+            json.dumps(self.name),
+            json.dumps(self.status),
+            _polys_text(self.residuals),
+            json.dumps(self.elapsed),
+        )
         if self.extras:
-            out["extras"] = {k: p.to_json_dict() for k, p in self.extras.items()}
-        return out
+            text += ', "extras": ' + _polys_text(self.extras)
+        return text + "}"
+
+    def to_json_dict(self) -> dict:
+        return json.loads(self.to_json_text())
+
+
+def _polys_text(polys: dict[str, MultiPoly]) -> str:
+    """The JSON object text of a str -> MultiPoly map, in its key order."""
+    return "{%s}" % ", ".join(["%s: %s" % (json.dumps(k), p.to_json_text()) for k, p in polys.items()])

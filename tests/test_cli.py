@@ -12,8 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slab_harmonics import MultiPoly, VerificationReport, cli, diffeq, poly, slab, variables
+from slab_harmonics import (
+    MultiPoly,
+    VerificationReport,
+    cli,
+    diffeq,
+    oracle_compare,
+    poly,
+    slab,
+    variables,
+)
 from slab_harmonics.cli import build_parser, main
+from test_poly import json_reference, report_json_reference
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -679,6 +689,65 @@ def test_writers_emit_one_line(tmp_path):
     assert json.loads(text)["report"]["status"] == "pass"
 
 
+def _expected_output(command, obj):
+    """(key, h, report) of what a command writes for input `obj`, computed
+    in process; key and h are None for verify."""
+    if command == "solve-slab":
+        prob = slab.SlabProblem.from_json_dict(obj)
+        h = slab.solve_slab(prob)
+        return "solution", h, slab.verify_boundary(h, prob)
+    if command == "verify":
+        h = MultiPoly.from_json_dict(obj["h"])
+        if obj["kind"] == "slab":
+            return None, None, slab.verify_boundary(h, slab.SlabProblem.from_json_dict(obj["problem"]))
+        return None, None, diffeq.verify_difference(h, diffeq.DiffEqProblem.from_json_dict(obj["problem"]).g)
+    prob = diffeq.DiffEqProblem.from_json_dict(obj)
+    h = diffeq.solve(prob)
+    if command == "solve-diffeq":
+        return "h", h, diffeq.verify_difference(h, prob.g)
+    return "solution", h, oracle_compare(prob.g, h)
+
+
+def _degree_90_slab(tmp_path):
+    path = tmp_path / "y90.json"
+    f0 = MultiPoly(1, {(0, 90): 1})
+    path.write_text(json.dumps(slab.SlabProblem(F(1, 3), F(2), 1, f0, MultiPoly.zero(1)).to_json_dict()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,name", [
+    ("solve-slab", "slab_basic.json"),
+    ("solve-slab", "slab_zero.json"),
+    ("solve-slab", "y90"),
+    ("solve-diffeq", "diffeq_basic.json"),
+    ("solve-diffeq", "diffeq_oracle.json"),
+    ("oracle-compare", "diffeq_oracle.json"),
+    ("verify", "verify_good.json"),
+    ("verify", "verify_slab_good.json"),
+    ("verify", "verify_tampered.json"),
+])
+def test_written_bytes_are_json_dumps_of_the_reference(command, name, tmp_path):
+    # the reference builds each polynomial from its Fraction terms; only
+    # elapsed_seconds is read back from the file
+    path = _degree_90_slab(tmp_path) if name == "y90" else fixture(name)
+    out = tmp_path / "out.json"
+    key, h, report = _expected_output(command, json.loads(Path(path).read_text()))
+    assert main([command, "--input", path, "--output", str(out), "--quiet"]) == (0 if report.passed else 1)
+    text = out.read_text()
+    written = json.loads(text)
+    ref = report_json_reference(report)
+    if key is None:
+        ref["elapsed_seconds"] = written["elapsed_seconds"]
+        expected = json.dumps(ref) + "\n"
+    else:
+        ref["elapsed_seconds"] = written["report"]["elapsed_seconds"]
+        expected = json.dumps({key: json_reference(h), "report": ref}) + "\n"
+    if text != expected:  # pytest's own diff of two long lines takes minutes
+        i = len(os.path.commonprefix([text, expected]))
+        j = max(i - 30, 0)
+        pytest.fail(f"differs at offset {i}: {text[j:i + 30]!r} != {expected[j:i + 30]!r}")
+
+
 @pytest.mark.parametrize("argv", [
     ["solve-slab", "--input", fixture("slab_basic.json")],
     ["solve-diffeq", "--input", fixture("diffeq_basic.json")],
@@ -719,6 +788,28 @@ def test_unreadable_input_exits_2_in_one_line_naming_the_path(argv, tmp_path, ca
         assert captured.err.startswith(f"error: cannot read {path!r}: "), captured.err
         assert captured.err.count("\n") == 1 and captured.err[:-1].isprintable()
     assert "'utf-8' codec can't decode byte 0xff" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-slab"],
+    ["solve-diffeq"],
+    ["verify"],
+    ["oracle-compare"],
+    ["eval", "--grid", "t=0:1:1,y1=0:1:1"],
+])
+def test_malformed_input_error_names_the_path_with_repr(argv, tmp_path, capsys):
+    # a control character in the name, which the message escapes, on a file
+    # whose top-level value is no object and on one holding an integer over
+    # the digit bound
+    for name, text in (("a\x01b.json", "[]"), ("c\x01d.json", "7" * 100_001)):
+        path = str(tmp_path / name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(argv + ["--input", path, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and repr(path) in captured.err, captured.err
+        assert captured.err.count("\n") == 1 and captured.err[:-1].isprintable()
 
 
 @pytest.mark.parametrize("argv", [

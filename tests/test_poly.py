@@ -1,5 +1,6 @@
 """Core polynomial arithmetic: worked examples plus algebraic property tests."""
 
+import json
 import math
 import random
 import sys
@@ -8,10 +9,19 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slab_harmonics import MultiPoly, variables
+from slab_harmonics import (
+    DiffEqProblem,
+    MultiPoly,
+    VerificationReport,
+    oracle_compare,
+    solve,
+    variables,
+    verify_difference,
+)
+from slab_harmonics.cli import _int_digits
 from slab_harmonics.complex_oracle import ComplexPoly, harmonic_part
 from slab_harmonics.laplace import (
     even_ck_extension,
@@ -298,6 +308,79 @@ def test_json_reader_accepts_any_term_order():
     # writer emits canonical graded-lex order, leading term first
     exps = [tuple(item["exps"]) for item in p.to_json_dict()["terms"]]
     assert exps == [(3, 0), (0, 2)]
+
+
+def json_reference(p):
+    """The JSON object of p built from its Fraction terms: str(Fraction)
+    coefficients, leading term first in graded-lexicographic order."""
+    order = sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+    return {"d": p.d, "terms": [{"coeff": str(c), "exps": list(e)} for e, c in order]}
+
+
+def report_json_reference(report):
+    """The JSON object of a report, its polynomials through json_reference."""
+    out = {
+        "check": report.name,
+        "status": report.status,
+        "residuals": {k: json_reference(r) for k, r in report.residuals.items()},
+        "elapsed_seconds": report.elapsed,
+    }
+    if report.extras:
+        out["extras"] = {k: json_reference(e) for k, e in report.extras.items()}
+    return out
+
+
+@st.composite
+def writer_poly(draw):
+    """A polynomial in d = 1..4 whose coefficients have integer, shared or
+    mixed denominators, of either sign; the terms may cancel to zero."""
+    d = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 5)] * (d + 1))
+    dens = draw(st.sampled_from([[1], [6], [1, 2, 3, 4, 6, 7, 12, 2**70 + 1]]))
+    coeffs = st.builds(Fraction, st.integers(-10**25, 10**25), st.sampled_from(dens))
+    return MultiPoly(d, dict(draw(st.lists(st.tuples(exps, coeffs), max_size=12))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(writer_poly())
+@example(MultiPoly.zero(2))
+@example(MultiPoly(1, {(0, 3): 4, (2, 0): -5, (1, 1): 7}))  # denominator 1
+@example(MultiPoly(2, {(2, 0, 0): F(-3, 4), (0, 3, 0): F(5, 6), (0, 0, 1): F(1, 3), (1, 0, 0): F(-7, 2)}))
+def test_json_text_is_json_dumps_of_the_reference(p):
+    _assert_writes_the_reference(p)
+
+
+def _assert_writes_the_reference(p):
+    assert p.to_json_text() == json.dumps(json_reference(p))
+    assert p.to_json_dict() == json_reference(p)
+
+
+def test_json_text_writes_a_coefficient_over_4300_digits():
+    # the CLI writes under _int_digits(0); a Hypothesis example would be
+    # printed by repr, which the default digit limit refuses
+    p = MultiPoly(1, {(0, 2): F(10**5000 // 9, 3), (1, 1): F(-1, 7)})
+    with _int_digits(0):
+        assert len(p.to_json_text()) > 5000
+        _assert_writes_the_reference(p)
+
+
+def test_report_json_text_is_json_dumps_of_the_reference():
+    t, y = variables(1)
+    g = random_harmonic_poly(random.Random(5), 1, 6) + t * t - y * y
+    h = solve(DiffEqProblem(g, 1))
+    reports = [
+        oracle_compare(g, h),  # passes: extras r and h_oracle
+        oracle_compare(g, h + t * y),  # fails: nonzero residuals, extras h_oracle
+        verify_difference(h, g),
+        VerificationReport.from_residuals(
+            'a "quoted" n\u00e4me', {"zero": MultiPoly.zero(1), "x": h - t}, {"e\n": g}, 1e-7
+        ),
+    ]
+    assert reports[0].passed and set(reports[0].extras) == {"r", "h_oracle"}
+    assert not reports[1].passed
+    for report in reports:
+        assert report.to_json_text() == json.dumps(report_json_reference(report))
+        assert report.to_json_dict() == report_json_reference(report)
 
 
 # -- the canonical integer-numerator form --------------------------------------
