@@ -1,15 +1,7 @@
 """Exact polynomial solvers for the slab Dirichlet problem and the harmonic
 difference equation h(t+1,y) - h(t,y) = g(t,y), with bit-exact verification."""
 
-from .complex_oracle import (
-    ComplexPoly,
-    bernoulli_polynomial,
-    harmonic_conjugate_completion,
-    harmonic_part,
-    oracle_compare,
-    oracle_solve,
-    solve_complex_difference,
-)
+from .complex_oracle import bernoulli_polynomial, harmonic_part, oracle_compare, oracle_solve
 from .diffeq import (
     DiffEqProblem,
     compare_solutions,
@@ -38,7 +30,6 @@ from .slab import (
 )
 
 __all__ = [
-    "ComplexPoly",
     "DiffEqProblem",
     "MultiPoly",
     "SlabProblem",
@@ -47,7 +38,6 @@ __all__ = [
     "compare_solutions",
     "even_ck_extension",
     "even_reflection_identity",
-    "harmonic_conjugate_completion",
     "harmonic_part",
     "harmonic_t_antiderivative",
     "invert_trace_operator",
@@ -57,7 +47,6 @@ __all__ = [
     "oracle_solve",
     "poisson_solve",
     "solve",
-    "solve_complex_difference",
     "solve_even",
     "solve_odd",
     "solve_slab",

@@ -4,7 +4,7 @@ Commands:
     solve-slab      solve a slab Dirichlet problem from a JSON file
     solve-diffeq    solve the difference equation for a harmonic g
     verify          re-check a stored solution against its problem
-    oracle-compare  compare the general solver against the Bernoulli route (d=1)
+    oracle-compare  compare the general solver against the Bernoulli route
     eval            sample a polynomial on a float grid, CSV output
     self-test       seeded randomized identity checks (SLAB_HARMONICS_SEED)
 
@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import diffeq as de
 from . import slab as sl
 from .complex_oracle import oracle_compare
-from .poly import MultiPoly, _json_keys
+from .poly import MultiPoly, _int_digits, _json_keys
 from .report import VerificationReport
 
 # The most decimal digits an integer in an input file may have: Python's
@@ -42,20 +42,6 @@ _MAX_GRID_POINTS = 1_000_000
 
 class InputError(Exception):
     """Malformed or invalid input file; maps to exit code 2."""
-
-
-class _int_digits:
-    """Set Python's int <-> str digit limit (0: none) for a `with` block."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-
-    def __enter__(self):
-        self.old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(self.limit)
-
-    def __exit__(self, *exc_info):
-        sys.set_int_max_str_digits(self.old)
 
 
 def _read_input(path: str, parse: Callable[[dict], object]):
@@ -158,8 +144,6 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     prob = _read_input(args.input, de.DiffEqProblem.from_json_dict)
-    if prob.d != 1:
-        raise InputError("oracle-compare requires d = 1")
     h = de.solve(prob)
     report = oracle_compare(prob.g, h)
     _write_solution(args, "solution", h, report)

@@ -1,115 +1,30 @@
-"""Independent d = 1 oracle via the classical complex route.
+"""Independent route to the difference equation via Bernoulli polynomials.
 
-Bernoulli polynomials solve the holomorphic difference equation
-F(z+1) - F(z) = G(z); taking real parts after substituting z = t + i*y
-transfers it to planar harmonic polynomials.  Everything is exact: a complex
-polynomial is stored as MultiPoly stores a real one, as Gaussian-integer
-numerators (re_k, im_k) over one positive denominator, in canonical form.
-None of this shares code with `laplace`.
+B_(j+1)(t+1) - B_(j+1)(t) = (j+1) t^j (DLMF 24.2), so t^j -> B_(j+1)(t)/(j+1)
+solves u(t+1) - u(t) = t^j in one variable.  For harmonic g at any d, that
+map solves the equation for both Cauchy data of g on the line y1 = 0, and
+the harmonic extension in y1 of the two solutions is h: its residual
+h(t+1,y) - h(t,y) - g is harmonic with zero Cauchy data on y1 = 0, so it is
+zero.  Everything is integer numerators over one denominator, as in
+`MultiPoly`, and none of it shares code with `laplace`.  The module keeps
+its name, which the benchmark's tracer (`bench/tracer.py`) targets.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterable
-from fractions import Fraction
 
 from .diffeq import _residue_check
-from .poly import MultiPoly, _require_harmonic
+from .poly import MultiPoly, Numerators, _laplacian_y_num, _require_harmonic
 from .report import VerificationReport
-
-# a complex rational is a (real, imag) pair of Fractions
-CRational = tuple[Fraction, Fraction]
-
-# Gaussian-integer numerators (re_k, im_k) of the coefficients of z^k
-GaussNumerators = list[tuple[int, int]]
-
-
-class ComplexPoly:
-    """Univariate polynomial in z with exact complex-rational coefficients.
-
-    Canonical form: no trailing zero numerator, and a positive denominator
-    coprime to the content of the numerators (1 for the zero polynomial).
-    """
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, coeffs: Iterable[CRational] = ()):
-        pairs = [(Fraction(re), Fraction(im)) for re, im in coeffs]
-        den = math.lcm(*(c.denominator for pair in pairs for c in pair))
-        num = [
-            (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
-            for re, im in pairs
-        ]
-        self._num, self._den = _canonical(num, den)
-
-    @classmethod
-    def _reduced(cls, num: GaussNumerators, den: int) -> "ComplexPoly":
-        """Wrap numerators built by internal code (den > 0; the list is
-        handed over), put in canonical form."""
-        p = object.__new__(cls)
-        p._num, p._den = _canonical(num, den)
-        return p
-
-    @property
-    def coeffs(self) -> tuple[CRational, ...]:
-        den = self._den
-        return tuple((Fraction(re, den), Fraction(im, den)) for re, im in self._num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ComplexPoly):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        den = math.lcm(self._den, other._den)
-        ma, mb = den // self._den, den // other._den
-        a, b = self._num, other._num
-        if len(a) < len(b):
-            a = a + [(0, 0)] * (len(b) - len(a))
-        out = [(re * ma, im * ma) for re, im in a]
-        for k, (re, im) in enumerate(b):
-            out[k] = (out[k][0] + re * mb, out[k][1] + im * mb)
-        return ComplexPoly._reduced(out, den)
-
-    def antiderivative(self) -> "ComplexPoly":
-        """Antiderivative with zero constant term."""
-        # c_k / (k+1) over one denominator: m is the lcm of what k+1 leaves
-        # after cancelling against both parts of c_k
-        m = math.lcm(*((k + 1) // math.gcd(re, im, k + 1) for k, (re, im) in enumerate(self._num)))
-        out = [(0, 0)] + [
-            (re * m // (k + 1), im * m // (k + 1)) for k, (re, im) in enumerate(self._num)
-        ]
-        return ComplexPoly._reduced(out, self._den * m)
-
-    def __repr__(self) -> str:
-        return f"ComplexPoly({list(self.coeffs)})"
-
-
-def _canonical(num: GaussNumerators, den: int) -> tuple[GaussNumerators, int]:
-    """Drop trailing zeros and divide out gcd(den, content) of numerators
-    over den > 0, with one gcd scan that stops at 1."""
-    while num and num[-1] == (0, 0):
-        num.pop()
-    if not num:
-        return num, 1
-    g = den
-    for re, im in num:
-        if g == 1:
-            return num, den
-        g = math.gcd(g, re, im)
-    if g != 1:
-        num = [(re // g, im // g) for re, im in num]
-        den //= g
-    return num, den
 
 
 def _bernoulli_polynomials(n: int) -> list[tuple[list[int], int]]:
     """[B_0, ..., B_n] as (integer numerators, denominator) pairs, via
     B_0 = 1, B_k' = k B_(k-1), int_0^1 B_k = 0.
 
-    The coefficient of z^(i+1) in k int B_(k-1) is C(k, i+1) B_(k-1-i), so
+    The coefficient of t^(i+1) in k int B_(k-1) is C(k, i+1) B_(k-1-i), so
     the numerators k b_i / (i+1) divide exactly over the denominator of
     B_(k-1) (checked); only the constant term brings in a new denominator."""
     bs = [([1], 1)]
@@ -133,77 +48,75 @@ def _bernoulli_polynomials(n: int) -> list[tuple[list[int], int]]:
     return bs
 
 
-def bernoulli_polynomial(n: int) -> ComplexPoly:
-    """The Bernoulli polynomial B_n."""
+def bernoulli_polynomial(n: int) -> MultiPoly:
+    """The Bernoulli polynomial B_n(t), as a polynomial of dimension 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
     num, den = _bernoulli_polynomials(n)[n]
-    return ComplexPoly._reduced([(v, 0) for v in num], den)
+    return MultiPoly._reduced(1, {(k, 0): v for k, v in enumerate(num) if v}, den)
 
 
-def solve_complex_difference(g: ComplexPoly) -> ComplexPoly:
-    """F with F(z+1) - F(z) = G(z): F = sum_n p_n B_(n+1)(z) / (n+1)."""
-    bs = _bernoulli_polynomials(len(g._num))
-    used = [n for n, p_n in enumerate(g._num) if p_n != (0, 0)]
-    # p_n / ((n+1) den(B_(n+1))) over one lcm L; the sum is over L den(G)
-    lcm = math.lcm(*((n + 1) * bs[n + 1][1] for n in used))
-    out = [(0, 0)] * (len(g._num) + 1)
-    for n in used:
-        b, b_den = bs[n + 1]
-        w = lcm // ((n + 1) * b_den)
-        re, im = g._num[n][0] * w, g._num[n][1] * w
-        for j, v in enumerate(b):
-            if v:
-                out[j] = (out[j][0] + re * v, out[j][1] + im * v)
-    return ComplexPoly._reduced(out, lcm * g._den)
+def harmonic_part(u0: MultiPoly, u1: MultiPoly) -> MultiPoly:
+    """The harmonic h with h = u0 and dh/dy1 = u1 on y1 = 0, for u0 and u1
+    free of y1: the CK series
 
+        sum_k (-1)^k L^k (y1^(2k)/(2k)! u0 + y1^(2k+1)/(2k+1)! u1),
 
-def harmonic_part(p: ComplexPoly) -> MultiPoly:
-    """Re p(t + i*y), expanded exactly (d = 1).  The imaginary part of p is
-    the real part of -i*p."""
-    num: dict[tuple[int, int], int] = {}
-    for n, (re, im) in enumerate(p._num):
-        # (t + iy)^n = sum_j C(n,j) t^(n-j) (iy)^j; i^j cycles with period 4,
-        # so Re((re + i im) i^j) is re, -im, -re, im in turn
-        parts = (re, -im, -re, im)
-        for j in range(n + 1):
-            v = parts[j % 4]
-            if v:
-                # (n - j, j) determines n, so each key is written once
-                num[(n - j, j)] = math.comb(n, j) * v
-    result = MultiPoly._reduced(1, num, p._den)
-    lap = result.laplacian()
-    if not lap.is_zero:
-        raise ArithmeticError(f"harmonic_part produced non-harmonic output: {lap}")
-    return result
-
-
-def harmonic_conjugate_completion(g: MultiPoly) -> ComplexPoly:
-    """P with Re P(t + i*y) = g for planar harmonic g; Im P(0) = 0.
-
-    P' is the holomorphic polynomial dg/dt - i dg/dy read off on the real
-    axis y = 0; integrating and pinning P(0) = g(0,0) fixes P.
-    """
-    if g.d != 1:
-        raise ValueError("harmonic_conjugate_completion requires d = 1")
-    _require_harmonic(g, "input must be harmonic")
-    num, den = g.as_integer_ratio()
-    deg = max(g.total_degree(), 0)
-    # the coefficient of z^n in P' is (n+1) g_(n+1,0) - i g_(n,1), over den
-    dp = [((n + 1) * num.get((n + 1, 0), 0), -num.get((n, 1), 0)) for n in range(deg)]
-    p = ComplexPoly._reduced(dp, den).antiderivative() + ComplexPoly._reduced(
-        [(num.get((0, 0), 0), 0)], den
-    )
-    roundtrip = harmonic_part(p) - g
-    if not roundtrip.is_zero:
-        raise ArithmeticError(f"conjugate completion failed to reproduce input: {roundtrip}")
-    return p
+    with L = d2/dt2 + Lap_(y2..yd).  With t and y1 swapped in the exponent
+    keys, L is _laplacian_y_num.  The y1^n terms are brought over one
+    denominator with the integer factor top!/n!, top the highest n."""
+    u0._check_space(u1)
+    if any(e[1] for u in (u0, u1) for e in u._num):
+        raise ValueError("harmonic_part takes Cauchy data free of y1")
+    den = math.lcm(u0._den, u1._den)
+    # series[n] = L^k u_i in swapped keys (0, t, y2, ..., yd), n = 2k + i
+    series: dict[int, Numerators] = {}
+    for i, u in enumerate((u0, u1)):
+        m = den // u._den
+        num = {(0, e[0]) + e[2:]: v * m for e, v in u._num.items()}
+        n = i
+        while num:
+            series[n] = num
+            num = _laplacian_y_num(num)
+            n += 2
+    top = max(series, default=0)
+    out: Numerators = {}
+    scale = 1  # top!/n!
+    for n in range(top, -1, -1):
+        for e, v in series.get(n, {}).items():
+            out[(e[1], n) + e[2:]] = -v * scale if n % 4 > 1 else v * scale
+        scale *= n
+    return MultiPoly._reduced(u0.d, out, den * math.factorial(top))
 
 
 def oracle_solve(g: MultiPoly) -> MultiPoly:
-    """Solve the difference equation for planar harmonic g by the Bernoulli
-    route: complete to a holomorphic G, solve in z, take the real part."""
-    return harmonic_part(solve_complex_difference(harmonic_conjugate_completion(g)))
+    """Harmonic h with h(t+1,y) - h(t,y) = g for harmonic g, at any d.
+
+    The Cauchy data of g on y1 = 0 are the t-numerators of g's y-monomials
+    with y1-exponent 0 and 1, which the harmonicity check of g groups.
+    Each t^j in them goes to B_(j+1)(t)/(j+1), over one integer lcm, and
+    harmonic_part extends the two results in y1.
+    """
+    _require_harmonic(g, "input must be harmonic")
+    data = [(rest, a) for rest, a in g._fibres().items() if rest[0] < 2]
+    bs = _bernoulli_polynomials(max((len(a) for _, a in data), default=0))
+    used = {j for _, a in data for j, v in enumerate(a) if v}
+    # a_j / ((j+1) den(B_(j+1))) over one lcm; the sum is over lcm den(g)
+    lcm = math.lcm(*((j + 1) * bs[j + 1][1] for j in used))
+    weights = {j: lcm // ((j + 1) * bs[j + 1][1]) for j in used}
+    cauchy: tuple[Numerators, Numerators] = ({}, {})
+    for rest, a in data:
+        out = [0] * (len(a) + 1)
+        for j, v in enumerate(a):
+            if v:
+                v *= weights[j]
+                for i, b in enumerate(bs[j + 1][0]):
+                    out[i] += v * b
+        for i, v in enumerate(out):
+            if v:
+                cauchy[rest[0]][(i, 0) + rest[1:]] = v
+    u0, u1 = (MultiPoly._reduced(g.d, num, lcm * g._den) for num in cauchy)
+    return harmonic_part(u0, u1)
 
 
 def oracle_compare(g: MultiPoly, h_general: MultiPoly) -> VerificationReport:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain, repeat
@@ -60,6 +61,20 @@ def _over_one_denominator(
     for exps, p, q in items:
         num[exps] = num.get(exps, 0) + p * (den // q)
     return {e: v for e, v in num.items() if v}, den
+
+
+class _int_digits:
+    """Set Python's int <-> str digit limit (0: none) for a `with` block."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def __enter__(self):
+        self.old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(self.limit)
+
+    def __exit__(self, *exc_info):
+        sys.set_int_max_str_digits(self.old)
 
 
 def _check_exps(d: int, exps: tuple[int, ...]) -> None:
@@ -182,13 +197,6 @@ class MultiPoly:
         if not self._num:
             return -1
         return max(sum(e) for e in self._num)
-
-    def degree_in(self, var: int) -> int:
-        """Degree in a single variable; -1 for the zero polynomial."""
-        self._check_var(var)
-        if not self._num:
-            return -1
-        return max(e[var] for e in self._num)
 
     @property
     def is_t_free(self) -> bool:
@@ -475,10 +483,15 @@ class MultiPoly:
 
     def to_json_text(self) -> str:
         """The text json.dumps(self.to_json_dict()) gives, written in one
-        pass without a dict per term."""
-        terms = ", ".join(
-            ['{"coeff": "%d%s", "exps": %s}' % (p, tail, list(e)) for e, p, tail in self._ratios()]
-        )
+        pass without a dict per term.  A coefficient of any size is
+        written: Python's int -> str digit limit is lifted meanwhile."""
+        with _int_digits(0):
+            terms = ", ".join(
+                [
+                    '{"coeff": "%d%s", "exps": %s}' % (p, tail, list(e))
+                    for e, p, tail in self._ratios()
+                ]
+            )
         return '{"d": %d, "terms": [%s]}' % (self.d, terms)
 
     def to_json_dict(self) -> dict:
@@ -508,24 +521,27 @@ class MultiPoly:
         return "t" if index == 0 else f"y{index}"
 
     def __str__(self) -> str:
+        """The terms in canonical order, each coefficient in full: Python's
+        int -> str digit limit is lifted meanwhile."""
         if not self._num:
             return "0"
         parts: list[str] = []
-        for exps, p, tail in self._ratios():
-            factors = [
-                self._var_name(i) if e == 1 else f"{self._var_name(i)}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            ]
-            size = "%d%s" % (abs(p), tail)
-            if not factors:
-                body = size
-            elif size == "1":
-                body = "*".join(factors)
-            else:
-                body = "*".join([size] + factors)
-            sign = "-" if p < 0 else "+"
-            parts.append(f"{sign} {body}")
+        with _int_digits(0):
+            for exps, p, tail in self._ratios():
+                factors = [
+                    self._var_name(i) if e == 1 else f"{self._var_name(i)}^{e}"
+                    for i, e in enumerate(exps)
+                    if e
+                ]
+                size = "%d%s" % (abs(p), tail)
+                if not factors:
+                    body = size
+                elif size == "1":
+                    body = "*".join(factors)
+                else:
+                    body = "*".join([size] + factors)
+                sign = "-" if p < 0 else "+"
+                parts.append(f"{sign} {body}")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 

@@ -259,11 +259,23 @@ def test_oracle_compare_prints_the_solution_then_r_then_the_verdict(capsys):
     assert lines[2] == "oracle_compare: pass"
 
 
-def test_oracle_compare_requires_d1(tmp_path, capsys):
-    prob = {"d": 2, "g": MultiPoly.zero(2).to_json_dict()}
-    path = tmp_path / "d2.json"
-    path.write_text(json.dumps(prob))
-    assert main(["oracle-compare", "--input", str(path), "--quiet"]) == 2
+def test_oracle_compare_passes_at_d2_and_d3(tmp_path, capsys):
+    # the Bernoulli route solves on the line y1 = 0 at every d
+    t, y1, y2 = variables(2)
+    g2 = t * y2 + y1 * y2 + t * t - y1 * y1
+    t, y1, y2, y3 = variables(3)
+    g3 = t * y1 * y3 + (t * t).scale(3) - (y2 * y2).scale(2) - y3 * y3 + y2
+    for g in (g2, g3):
+        path, out = tmp_path / f"d{g.d}.json", tmp_path / f"d{g.d}.out.json"
+        path.write_text(json.dumps({"d": g.d, "g": g.to_json_dict()}))
+        assert main(["oracle-compare", "--input", str(path), "--output", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "oracle_compare: pass"
+        obj = json.loads(out.read_text())
+        assert obj["report"]["status"] == "pass"
+        h = MultiPoly.from_json_dict(obj["solution"])
+        assert h == diffeq.solve(diffeq.DiffEqProblem(g, g.d))
+        r = MultiPoly.from_json_dict(obj["report"]["extras"]["r"])
+        assert r.is_t_free and r.laplacian_y().is_zero
 
 
 def test_eval_grid(tmp_path):

@@ -123,7 +123,7 @@ def case(draw):
     """A command and the text of its input file: mostly a document of the
     kind the command reads, then up to two mutations, sometimes cut short."""
     command = draw(st.sampled_from(COMMANDS))
-    d = 1 if command == "oracle-compare" else draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
     source = draw(st.sampled_from(["own"] * 3 + ["other", "junk"]))
     if source == "junk":
         doc = draw(junk)
@@ -185,7 +185,7 @@ def bad_term_case(draw):
     of its polynomials spoiled: a coefficient off the grammar, an exponent
     that is a bool, a float or negative, or a third key."""
     command = draw(st.sampled_from(COMMANDS))
-    d = 1 if command == "oracle-compare" else draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
     doc = draw(DOCUMENTS[command](d))
     terms = draw(st.sampled_from(list(_term_lists(doc))))
     if not terms:

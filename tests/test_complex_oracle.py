@@ -1,4 +1,4 @@
-"""Bernoulli polynomials, the holomorphic difference equation, and the d=1 oracle."""
+"""Bernoulli polynomials, the CK extension in y1, and the Bernoulli-route oracle."""
 
 import hashlib
 import inspect
@@ -11,15 +11,12 @@ from pathlib import Path
 import pytest
 
 from slab_harmonics import (
-    ComplexPoly,
     DiffEqProblem,
     MultiPoly,
     bernoulli_polynomial,
-    harmonic_conjugate_completion,
     harmonic_part,
     oracle_compare,
     solve,
-    solve_complex_difference,
     variables,
 )
 from slab_harmonics.complex_oracle import oracle_solve
@@ -30,106 +27,145 @@ F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def real_poly(*coeffs):
-    return ComplexPoly((F(c), F(0)) for c in coeffs)
+def on_line(p):
+    """p restricted to the line y1 = 0."""
+    return MultiPoly(p.d, {e: c for e, c in p.terms.items() if not e[1]})
 
 
-def parts(p):
-    """Re P and Im P = Re(-iP) of P(t + iy): together they are P, so an
-    identity between complex polynomials holds iff it holds for both."""
-    return harmonic_part(p), harmonic_part(ComplexPoly((im, -re) for re, im in p.coeffs))
+def random_line_poly(rng, d, max_degree):
+    """A random polynomial in t, y2, ..., yd, free of y1."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * (d + 1)
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.choice([0, *range(2, d + 1)])] += 1
+        terms[tuple(exps)] = F(rng.randint(-6, 6), rng.randint(1, 3))
+    return MultiPoly(d, terms)
 
 
 def test_bernoulli_base_cases():
-    assert bernoulli_polynomial(0) == real_poly(1)
-    assert bernoulli_polynomial(1) == real_poly(F(-1, 2), 1)
-    assert bernoulli_polynomial(2) == real_poly(F(1, 6), -1, 1)
+    t, _ = variables(1)
+    one = MultiPoly.constant(1, 1)
+    assert bernoulli_polynomial(0) == one
+    assert bernoulli_polynomial(1) == t - one.scale(F(1, 2))
+    assert bernoulli_polynomial(2) == t * t - t + one.scale(F(1, 6))
+    with pytest.raises(ValueError):
+        bernoulli_polynomial(-1)
 
 
 def test_bernoulli_difference_identity():
-    # B_(n+1)(z+1) - B_(n+1)(z) = (n+1) z^n for n <= 20; z <- z + 1 is
-    # t <- t + 1 in P(t + iy)
-    for n in range(21):
+    # B_(n+1)(t+1) - B_(n+1)(t) = (n+1) t^n (DLMF 24.2)
+    t, _ = variables(1)
+    for n in range(41):
         b = bernoulli_polynomial(n + 1)
-        lhs = [u.shift_t(1) - u for u in parts(b)]
-        rhs = ComplexPoly(
-            [(F(0), F(0))] * n + [(F(n + 1), F(0))]
-        )
-        assert lhs == list(parts(rhs))
+        assert b.shift_t(1) - b == (t ** n).scale(n + 1), n
 
 
 def test_bernoulli_recurrence_properties():
-    bs = [parts(bernoulli_polynomial(n)) for n in range(61)]
+    bs = [bernoulli_polynomial(n) for n in range(61)]
     for n in range(1, 61):
-        # derivative B_n' = n B_(n-1): d/dz is d/dt on P(t + iy)
-        assert [u.derivative(0) for u in bs[n]] == [u.scale(n) for u in bs[n - 1]]
-        # int_0^1 B_n(z) dz = 0, on the real axis y = 0
-        assert [u.integrate_t().eval_exact((1, 0)) for u in bs[n]] == [0, 0]
+        assert bs[n].derivative(0) == bs[n - 1].scale(n)  # B_n' = n B_(n-1)
+        assert bs[n].integrate_t().eval_exact((1, 0)) == 0  # int_0^1 B_n = 0
 
 
-def test_solve_complex_difference_examples():
-    assert solve_complex_difference(real_poly(1)) == real_poly(F(-1, 2), 1)
-    assert solve_complex_difference(ComplexPoly()) == ComplexPoly()
-    f = solve_complex_difference(real_poly(0, 0, 1))  # G = z^2
-    assert f == real_poly(0, F(1, 6), F(-1, 2), F(1, 3))
-    assert [u.shift_t(1) - u for u in parts(f)] == list(parts(real_poly(0, 0, 1)))
-
-
-def test_harmonic_part_examples():
+def test_oracle_solve_bernoulli_examples():
     t, y1 = variables(1)
-    assert harmonic_part(real_poly(0, 0, 1)) == t * t - y1 * y1
-    assert parts(real_poly(0, 1)) == (t, y1)
-    p = real_poly(0, F(1, 6), F(-1, 2), F(1, 3))
-    expected = (
+    one = MultiPoly.constant(1, 1)
+    assert oracle_solve(one) == bernoulli_polynomial(1)
+    assert oracle_solve(MultiPoly.zero(2)) == MultiPoly.zero(2)
+    # g = t^2 - y1^2: Re(B_3(t + i y1)/3)
+    g = t * t - y1 * y1
+    h = oracle_solve(g)
+    assert h == (
         (t ** 3).scale(F(1, 3))
         - t * y1 * y1
         - (t * t).scale(F(1, 2))
         + (y1 * y1).scale(F(1, 2))
         + t.scale(F(1, 6))
     )
-    assert harmonic_part(p) == expected
+    assert h.shift_t(1) - h == g
+
+
+def test_oracle_solve_examples():
+    t, y1 = variables(1)
+    # g = t y1: Im(B_3(t + i y1))/6
+    assert oracle_solve(t * y1) == (
+        (t * t * y1).scale(F(1, 2))
+        - (y1 ** 3).scale(F(1, 6))
+        - (t * y1).scale(F(1, 2))
+        + y1.scale(F(1, 12))
+    )
+    # d = 2, g = t y2: B_2(t)/2 y2 on the line, extended by -y1^2/2 L
+    t, y1, y2 = variables(2)
+    assert oracle_solve(t * y2) == (
+        (t * t * y2 - t * y2 + y2.scale(F(1, 6))).scale(F(1, 2)) - (y1 * y1 * y2).scale(F(1, 2))
+    )
+
+
+def test_harmonic_part_examples():
+    t, y1 = variables(1)
+    zero, one = MultiPoly.zero(1), MultiPoly.constant(1, 1)
+    assert harmonic_part(zero, zero) == zero
+    assert harmonic_part(t * t, zero) == t * t - y1 * y1
+    assert harmonic_part(zero, one) == y1
+    assert harmonic_part(zero, t) == t * y1
+    # d = 2: L = d2/dt2 + d2/dy2^2 sends t^2 + y2^2 to 4
+    t, y1, y2 = variables(2)
+    assert harmonic_part(t * t + y2 * y2, MultiPoly.zero(2)) == (
+        t * t + y2 * y2 - (y1 * y1).scale(2)
+    )
 
 
 def test_harmonic_part_cauchy_riemann():
+    # at d = 1, the harmonic conjugate v of h = harmonic_part(u0, u1) has
+    # v = -int_0^t u1 and dv/dy1 = du0/dt on y1 = 0
     rng = random.Random(79)
     for _ in range(15):
-        coeffs = [
-            (F(rng.randint(-6, 6), rng.randint(1, 3)), F(rng.randint(-6, 6), rng.randint(1, 3)))
-            for _ in range(rng.randint(1, 8))
-        ]
-        p = ComplexPoly(coeffs)
-        re, im = parts(p)
+        u0, u1 = random_line_poly(rng, 1, 8), random_line_poly(rng, 1, 8)
+        re = harmonic_part(u0, u1)
+        im = harmonic_part(-u1.integrate_t(), u0.derivative(0))
         assert re.laplacian().is_zero
         assert im.laplacian().is_zero
         assert re.derivative(0) == im.derivative(1)
         assert re.derivative(1) == -im.derivative(0)
 
 
-def test_conjugate_completion_examples():
-    t, y1 = variables(1)
-    assert harmonic_conjugate_completion(t * t - y1 * y1) == real_poly(0, 0, 1)
-    assert harmonic_conjugate_completion(MultiPoly.constant(1, 1)) == real_poly(1)
-    assert harmonic_conjugate_completion(t * y1) == ComplexPoly(
-        [(F(0), F(0)), (F(0), F(0)), (F(0), F(-1, 2))]
-    )
-
-
-def test_conjugate_completion_round_trip():
+def test_harmonic_part_round_trip():
+    # a harmonic h is the CK extension in y1 of its Cauchy data on y1 = 0
     rng = random.Random(83)
-    for _ in range(20):
-        g = random_harmonic_poly(rng, 1, 10)
-        p = harmonic_conjugate_completion(g)
-        assert harmonic_part(p) == g
-        # normalization: imaginary part of P(0) vanishes
-        assert parts(p)[1].eval_exact((0, 0)) == 0
+    for d in (1, 2, 3):
+        for _ in range(10):
+            h = random_harmonic_poly(rng, d, 8)
+            assert harmonic_part(on_line(h), on_line(h.derivative(1))) == h
+        u0, u1 = random_line_poly(rng, d, 6), random_line_poly(rng, d, 6)
+        h = harmonic_part(u0, u1)
+        assert h.laplacian().is_zero
+        assert (on_line(h), on_line(h.derivative(1))) == (u0, u1)
 
 
-def test_conjugate_completion_rejects_bad_input():
-    t, _ = variables(1)
-    with pytest.raises(ValueError):
-        harmonic_conjugate_completion(t * t)
-    with pytest.raises(ValueError):
-        harmonic_conjugate_completion(MultiPoly.zero(2))
+def test_oracle_route_rejects_bad_input():
+    t, y1 = variables(1)
+    with pytest.raises(ValueError, match="harmonic"):
+        oracle_solve(t * t)
+    with pytest.raises(ValueError, match="free of y1"):
+        harmonic_part(y1, MultiPoly.zero(1))
+    with pytest.raises(ValueError, match="dimension"):
+        harmonic_part(MultiPoly.zero(1), MultiPoly.zero(2))
+
+
+def test_oracle_solve_normal_form():
+    # the oracle's h is the solution whose period average A = int_0^1 h dt
+    # vanishes to second order on y1 = 0: every B_(j+1) has zero mean on
+    # (0, 1).  At d = 1 the general solver gives the same h.
+    rng = random.Random(87)
+    for d in (1, 2, 3, 4):
+        for _ in range(10):
+            g = random_harmonic_poly(rng, d, 8)
+            h = oracle_solve(g)
+            average = h.integrate_t().trace(1)
+            assert all(e[1] > 1 for e in average.terms), (d, average)
+            if d == 1:
+                assert h == solve(DiffEqProblem(g, 1))
 
 
 def test_oracle_compare_examples():
@@ -145,18 +181,25 @@ def test_oracle_compare_examples():
 
     rep = oracle_compare(t, solve(DiffEqProblem(t, 1)))
     assert rep.passed
-    assert rep.extras["r"].degree_in(0) <= 0  # t-free
+    assert rep.extras["r"].is_t_free
+
+    t, y1, y2 = variables(2)
+    g = t * y2 + y1 * y2 + t * t - y2 * y2
+    rep = oracle_compare(g, solve(DiffEqProblem(g, 2)))
+    assert rep.passed
+    assert rep.extras["r"].is_t_free and rep.extras["r"].laplacian_y().is_zero
 
 
 def test_oracle_solve_is_valid_solution_random():
     rng = random.Random(89)
-    for _ in range(15):
-        g = random_harmonic_poly(rng, 1, 8)
-        h_oracle = oracle_solve(g)
-        assert h_oracle.shift_t(1) - h_oracle == g
-        assert h_oracle.laplacian().is_zero
-        rep = oracle_compare(g, solve(DiffEqProblem(g, 1)))
-        assert rep.passed
+    for d in (1, 1, 2, 3):
+        for _ in range(5):
+            g = random_harmonic_poly(rng, d, 8)
+            h_oracle = oracle_solve(g)
+            assert h_oracle.shift_t(1) - h_oracle == g
+            assert h_oracle.laplacian().is_zero
+            rep = oracle_compare(g, solve(DiffEqProblem(g, d)))
+            assert rep.passed
 
 
 def test_oracle_solve_golden_digest():
@@ -193,7 +236,8 @@ def test_oracle_route_calls_nothing_in_laplace(monkeypatch):
     rng = random.Random(101)
     gs = [DiffEqProblem.from_json_dict(fixture).g]
     gs += [random_harmonic_poly(rng, 1, deg, max_terms=6) for deg in (0, 3, 8, 15)]
-    before = [(solve(DiffEqProblem(g, 1)), oracle_solve(g)) for g in gs]
+    gs += [random_harmonic_poly(rng, d, deg, max_terms=6) for d in (2, 3) for deg in (3, 8)]
+    before = [(solve(DiffEqProblem(g, g.d)), oracle_solve(g)) for g in gs]
 
     laplace = sys.modules["slab_harmonics.laplace"]
     package = [m for name, m in sys.modules.items() if name.partition(".")[0] == "slab_harmonics"]

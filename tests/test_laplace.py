@@ -125,12 +125,12 @@ def test_invert_trace_operator_is_the_x_over_sin_x_series():
     n = 100
     _, y1 = variables(1)
     # B_n(x) = sum_j C(n,j) B_j x^(n-j): one Bernoulli polynomial gives each B_j
-    bern = bernoulli_polynomial(n).coeffs
+    bern = bernoulli_polynomial(n).terms
     for c in (F(1), F(-2, 3)):
         g = invert_trace_operator(c, y1 ** n)
         assert len(g.terms) == n // 2 + 1
         for k in range(n // 2 + 1):
-            b_2k = bern[n - 2 * k][0] / math.comb(n, 2 * k)
+            b_2k = bern[(n - 2 * k, 0)] / math.comb(n, 2 * k)
             a_k = (-1) ** (k + 1) * 2 * (F(2) ** (2 * k - 1) - 1) * b_2k / math.factorial(2 * k)
             lap_k = F(math.factorial(n), math.factorial(n - 2 * k))  # Lap^k y^n / y^(n-2k)
             assert g.terms[(0, n - 2 * k)] == a_k * c ** (2 * k - 1) * lap_k, (c, k)
@@ -139,11 +139,11 @@ def test_invert_trace_operator_is_the_x_over_sin_x_series():
 def test_cot_series_is_the_bernoulli_series():
     # K = D cot(D/2) = sum_k K_k Lap^k with K_k = 2 (-1)^k B_2k / (2k)!
     n = 100
-    bern = bernoulli_polynomial(n).coeffs
+    bern = bernoulli_polynomial(n).terms
     nums, den = _cot_series(n // 2 + 1)
     assert len(nums) == n // 2 + 1
     for k in range(n // 2 + 1):
-        b_2k = bern[n - 2 * k][0] / math.comb(n, 2 * k)
+        b_2k = bern[(n - 2 * k, 0)] / math.comb(n, 2 * k)
         assert F(nums[k], den) == 2 * (-1) ** k * b_2k / math.factorial(2 * k), k
 
 

@@ -21,8 +21,7 @@ from slab_harmonics import (
     variables,
     verify_difference,
 )
-from slab_harmonics.cli import _int_digits
-from slab_harmonics.complex_oracle import ComplexPoly, harmonic_part
+from slab_harmonics.complex_oracle import harmonic_part, oracle_solve
 from slab_harmonics.laplace import (
     even_ck_extension,
     invert_trace_operator,
@@ -30,7 +29,7 @@ from slab_harmonics.laplace import (
     poisson_solve,
     trace_operator,
 )
-from slab_harmonics.poly import _t_fibres
+from slab_harmonics.poly import _int_digits, _t_fibres
 from slab_harmonics.randgen import random_harmonic_poly, random_rational, random_tfree_poly
 
 F = Fraction
@@ -356,12 +355,25 @@ def _assert_writes_the_reference(p):
 
 
 def test_json_text_writes_a_coefficient_over_4300_digits():
-    # the CLI writes under _int_digits(0); a Hypothesis example would be
-    # printed by repr, which the default digit limit refuses
+    # the writers need no lifted digit limit; the reference's str(Fraction) does
     p = MultiPoly(1, {(0, 2): F(10**5000 // 9, 3), (1, 1): F(-1, 7)})
+    text, obj = p.to_json_text(), p.to_json_dict()
+    assert len(text) > 5000
     with _int_digits(0):
-        assert len(p.to_json_text()) > 5000
-        _assert_writes_the_reference(p)
+        assert text == json.dumps(json_reference(p))
+        assert obj == json_reference(p)
+
+
+def test_text_of_a_coefficient_over_4300_digits_keeps_the_digit_limit():
+    # Python refuses int -> str past 4300 digits by default: the writers
+    # lift that limit themselves and put it back
+    p = MultiPoly(1, {(0, 2): F(10**5000 // 9, 3)})
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * 5000  # the digits of 10**5000 // 9
+    assert str(p) == f"{digits}/3*y1^2"
+    assert repr(p) == f"MultiPoly(d=1, {digits}/3*y1^2)"
+    assert json.loads(p.to_json_text())["terms"] == [{"coeff": f"{digits}/3", "exps": [0, 2]}]
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_report_json_text_is_json_dumps_of_the_reference():
@@ -434,11 +446,10 @@ def test_internal_results_are_canonical(case):
     assert harmonic.laplacian().is_zero and (p - p).is_zero and p.scale(0).is_zero
     for r in results:
         _assert_canonical(r)
-    if d == 1:
-        z = ComplexPoly([(F(1, 3), F(-2)), (F(0), F(5, 7)), (s, F(1))])
-        # the real and the imaginary part, Re(-iP)
-        for w in (z, ComplexPoly((im, -re) for re, im in z.coeffs)):
-            _assert_canonical(harmonic_part(w))
+    # the Bernoulli route, and its CK extension in y1 of data free of y1
+    u0, u1 = (MultiPoly(d, {e: c for e, c in r.terms.items() if not e[1]}) for r in (p, q))
+    for r in (oracle_solve(harmonic), harmonic_part(u0, u1), harmonic_part(u0.scale(s), u0)):
+        _assert_canonical(r)
 
 
 def _laplacian_reference(terms, first):
