@@ -12,6 +12,7 @@ from .diffeq import (
     verify_difference,
 )
 from .laplace import (
+    cauchy_extension,
     even_ck_extension,
     invert_trace_operator,
     odd_ck_extension,
@@ -35,6 +36,7 @@ __all__ = [
     "SlabProblem",
     "VerificationReport",
     "bernoulli_polynomial",
+    "cauchy_extension",
     "compare_solutions",
     "even_ck_extension",
     "even_reflection_identity",

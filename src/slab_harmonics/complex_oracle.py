@@ -16,7 +16,7 @@ import math
 import time
 
 from .diffeq import _residue_check
-from .poly import MultiPoly, Numerators, _laplacian_y_num, _require_harmonic
+from .poly import MultiPoly, Numerators, _cauchy_extension, _require_harmonic
 from .report import VerificationReport
 
 
@@ -58,35 +58,11 @@ def bernoulli_polynomial(n: int) -> MultiPoly:
 
 def harmonic_part(u0: MultiPoly, u1: MultiPoly) -> MultiPoly:
     """The harmonic h with h = u0 and dh/dy1 = u1 on y1 = 0, for u0 and u1
-    free of y1: the CK series
-
-        sum_k (-1)^k L^k (y1^(2k)/(2k)! u0 + y1^(2k+1)/(2k+1)! u1),
-
-    with L = d2/dt2 + Lap_(y2..yd).  With t and y1 swapped in the exponent
-    keys, L is _laplacian_y_num.  The y1^n terms are brought over one
-    denominator with the integer factor top!/n!, top the highest n."""
-    u0._check_space(u1)
+    free of y1: the CK series in y1 with L = d2/dt2 + Lap_(y2..yd), from the
+    kernel the solvers run in t (poly._cauchy_extension)."""
     if any(e[1] for u in (u0, u1) for e in u._num):
         raise ValueError("harmonic_part takes Cauchy data free of y1")
-    den = math.lcm(u0._den, u1._den)
-    # series[n] = L^k u_i in swapped keys (0, t, y2, ..., yd), n = 2k + i
-    series: dict[int, Numerators] = {}
-    for i, u in enumerate((u0, u1)):
-        m = den // u._den
-        num = {(0, e[0]) + e[2:]: v * m for e, v in u._num.items()}
-        n = i
-        while num:
-            series[n] = num
-            num = _laplacian_y_num(num)
-            n += 2
-    top = max(series, default=0)
-    out: Numerators = {}
-    scale = 1  # top!/n!
-    for n in range(top, -1, -1):
-        for e, v in series.get(n, {}).items():
-            out[(e[1], n) + e[2:]] = -v * scale if n % 4 > 1 else v * scale
-        scale *= n
-    return MultiPoly._reduced(u0.d, out, den * math.factorial(top))
+    return _cauchy_extension(u0, u1, 1)
 
 
 def oracle_solve(g: MultiPoly) -> MultiPoly:

@@ -13,10 +13,11 @@ Lap_y, written with D = sqrt(Lap_y):
 The series are finite on polynomials because Lap_y strictly lowers degree.
 The inverse is (1/c) times the series of x/sin(x) in u = x^2 = c^2 Lap_y,
 whose coefficients come from the tangent numbers (DLMF 4.19); K is read off
-the same table.  One kernel applies all five, each given as its list of
-rational coefficients, and applies several lists in one walk of Lap_y^k f;
-a product of two operators is the Cauchy product of their lists.  The
-Poisson solver uses the radial |y|^2 ansatz per homogeneous component.
+the same table.  The two extensions are one walk of poly's CK kernel
+(cauchy_extension).  One kernel, _series, applies the other three, each given
+as its list of rational coefficients, and several lists in one walk of
+Lap_y^k f; a product of two operators is the Cauchy product of their lists.
+The Poisson solver uses the radial |y|^2 ansatz per homogeneous component.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from collections.abc import Sequence
 from operator import add
 
-from .poly import MultiPoly, Scalar, _frac, _laplacian_y_num
+from .poly import MultiPoly, Scalar, _cauchy_extension, _frac, _laplacian_y_num
 
 
 def _require_t_free(p: MultiPoly, what: str) -> None:
@@ -46,18 +47,15 @@ def _over_lcm(coeffs: Sequence[tuple[int, int]]) -> Series:
     return [p * (den // q) for p, q in coeffs], den
 
 
-def _series(
-    f: MultiPoly, series: Sequence[Series], t_exp: int = 0, t_step: int = 0
-) -> list[MultiPoly]:
+def _series(f: MultiPoly, series: Sequence[Series]) -> list[MultiPoly]:
     """For each (nums, den) in `series`: the sum
-    sum_k (nums[k] / den) t^(t_exp + k t_step) Lap_y^k f for t-free f.  The
-    chain Lap_y^k f is walked once over the numerators of f, for all the
-    series together: its factors are integers, so each sum is one integer
-    map over den times the denominator of f.  The gcd of that denominator
-    with every coefficient times the content of Lap_y^k f is divided out
-    before the products are formed, so a denominator full of factorials is
-    never multiplied in and scanned out term by term.  The defaults give
-    t-free results."""
+    sum_k (nums[k] / den) Lap_y^k f for t-free f.  The chain Lap_y^k f is
+    walked once over the numerators of f, for all the series together: its
+    factors are integers, so each sum is one integer map over den times the
+    denominator of f.  The gcd of that denominator with every coefficient
+    times the content of Lap_y^k f is divided out before the products are
+    formed, so a denominator full of factorials is never multiplied in and
+    scanned out term by term."""
     term, f_den = f.as_integer_ratio()
     chain = []  # (content, numerators) of each nonzero Lap_y^k f still needed
     for k in range(max(len(nums) for nums, _ in series)):
@@ -72,18 +70,13 @@ def _series(
         steps = list(zip(nums, chain))
         common = math.gcd(den, *(c * content for c, (content, _) in steps))
         out: dict[tuple[int, ...], int] = {}
-        for k, (c, (content, term)) in enumerate(steps):
+        for c, (content, term) in steps:
             if not c:
                 continue
             m = c * content // common
-            if t_step:  # each power has its own t-exponent: no sums, no zeros
-                n = (t_exp + k * t_step,)
-                out.update({n + exps[1:]: m * (v // content) for exps, v in term.items()})
-            else:
-                for exps, v in term.items():
-                    out[exps] = out.get(exps, 0) + m * (v // content)
-        if not t_step:
-            out = {e: v for e, v in out.items() if v}
+            for exps, v in term.items():
+                out[exps] = out.get(exps, 0) + m * (v // content)
+        out = {e: v for e, v in out.items() if v}
         results.append(MultiPoly._reduced(f.d, out, den // common))
     return results
 
@@ -96,8 +89,7 @@ def _length(f: MultiPoly) -> int:
 def _wall_series(x: Scalar, n: int, first: int) -> Series:
     """The first n terms of C_x = cos(x D) (first = 0) or of
     S_x = sin(x D)/D (first = 1) in powers of Lap_y:
-    (-1)^k x^(2k + first) / (2k + first)!.  At x = 1 these are the
-    coefficients of the CK extensions, whose powers of t _series places."""
+    (-1)^k x^(2k + first) / (2k + first)!."""
     x = _frac(x)
     u, v = x.numerator, x.denominator
     return _over_lcm([
@@ -169,16 +161,22 @@ def _series_product(x: Series, y: Series, n: int) -> Series:
     return out, x_den * y_den
 
 
+def cauchy_extension(u0: MultiPoly, u1: MultiPoly) -> MultiPoly:
+    """Harmonic h = cos(tD) u0 + sin(tD)/D u1, so h(0,y) = u0(y) and
+    dh/dt(0,y) = u1(y)."""
+    _require_t_free(u0, "cauchy_extension datum u0")
+    _require_t_free(u1, "cauchy_extension datum u1")
+    return _cauchy_extension(u0, u1)
+
+
 def even_ck_extension(f: MultiPoly) -> MultiPoly:
     """Harmonic H with H(0,y) = f(y) and dH/dt(0,y) = 0; even in t."""
-    _require_t_free(f, "even_ck_extension input")
-    return _series(f, [_wall_series(1, _length(f), 0)], 0, 2)[0]
+    return cauchy_extension(f, MultiPoly.zero(f.d))
 
 
 def odd_ck_extension(g: MultiPoly) -> MultiPoly:
     """Harmonic V with V(0,y) = 0 and dV/dt(0,y) = g(y); odd in t."""
-    _require_t_free(g, "odd_ck_extension input")
-    return _series(g, [_wall_series(1, _length(g), 1)], 1, 2)[0]
+    return cauchy_extension(MultiPoly.zero(g.d), g)
 
 
 def trace_operator(c: Scalar, g: MultiPoly) -> MultiPoly:

@@ -89,18 +89,43 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension d must be >= 1, got {d}")
 
 
-def _laplacian_y_num(num: Numerators) -> Numerators:
-    """The y-Laplacian on numerators: the sum of second partials over
-    y1..yd.  The factors n(n-1) are integers, so the denominator does not
-    change."""
+def _laplacian_y_num(num: Numerators, skip: int = 0) -> Numerators:
+    """The Laplacian over every variable but index skip (by default the
+    y-Laplacian) on numerators.  The factors n(n-1) are integers, so the
+    denominator does not change."""
     out: Numerators = {}
+    others = [v for v in range(len(next(iter(num), ()))) if v != skip]
     for exps, a in num.items():
-        for var in range(1, len(exps)):
+        for var in others:
             n = exps[var]
             if n > 1:
                 e = exps[:var] + (n - 2,) + exps[var + 1 :]
                 out[e] = out.get(e, 0) + a * (n * (n - 1))
     return {e: v for e, v in out.items() if v}
+
+
+def _cauchy_extension(u0: "MultiPoly", u1: "MultiPoly", var: int = 0) -> "MultiPoly":
+    """The harmonic h with h = u0 and dh/dx = u1 on x = 0, x the variable at
+    index var, for u0 and u1 free of x: sum_n (-1)^(n//2) x^n/n! L^(n//2) u_(n%2),
+    L the Laplacian over the other variables.  Both chains are walked once
+    over integer numerators, every term over den top! with the factor top!/n!,
+    the content trick of laplace._series applied; no two terms share a key."""
+    u0._check_space(u1)
+    den = math.lcm(u0._den, u1._den)
+    steps = []  # (n, signed factor of u_(n%2), content, numerators of L^(n//2) u_(n%2))
+    for n, u in enumerate((u0, u1)):
+        num, m = u._num, den // u._den
+        while num:
+            steps.append((n, m if n % 4 < 2 else -m, math.gcd(*num.values()), num))
+            num = _laplacian_y_num(num, var)
+            n += 2
+    top = max((step[0] for step in steps), default=0)
+    den *= math.factorial(top)
+    common = math.gcd(den, *(m * math.perm(top, top - n) * c for n, m, c, _ in steps))
+    steps = [(n, m * math.perm(top, top - n) * c // common, c, num) for n, m, c, num in steps]
+    out = {e[:var] + (n,) + e[var + 1 :]: m * (v // c)
+           for n, m, c, num in steps for e, v in num.items()}
+    return MultiPoly._reduced(u0.d, out, den // common)
 
 
 def _t_fibres(num: Numerators) -> dict[tuple[int, ...], list[int]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .laplace import even_ck_extension, odd_ck_extension
+from .laplace import cauchy_extension
 from .poly import MultiPoly
 
 
@@ -46,7 +46,7 @@ def random_harmonic_poly(
     """Random harmonic polynomial of total degree <= max_degree."""
     f = random_tfree_poly(rng, d, max_degree, max_terms)
     p = random_tfree_poly(rng, d, max(0, max_degree - 1), max_terms)
-    return even_ck_extension(f) + odd_ck_extension(p)
+    return cauchy_extension(f, p)
 
 
 def random_y_harmonic(rng: random.Random, d: int, max_degree: int) -> MultiPoly:

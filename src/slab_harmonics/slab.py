@@ -19,8 +19,8 @@ from .laplace import (
     _series,
     _series_product,
     _wall_series,
+    cauchy_extension,
     even_ck_extension,
-    odd_ck_extension,
 )
 from .poly import MultiPoly, Scalar, _frac, _json_dim, _json_rational, _require_harmonic
 from .report import Record, VerificationReport
@@ -69,10 +69,10 @@ def solve_slab(prob: SlabProblem) -> MultiPoly:
 
         u0 = L^(-1) (S_b f0 - S_a f1),   u1 = L^(-1) (C_a f1 - C_b f0),
 
-    and h = even_ck(u0) + odd_ck(u1).  Each composite series, such as
-    S_b L^(-1), is a Cauchy product cut at the length of the data it acts
-    on, and each datum's Laplacian chain is walked once for both of its
-    series.  Zero data, and the series S_0 = 0, are skipped.
+    and h = C_t u0 + S_t u1 is cauchy_extension(u0, u1).  Each composite
+    series, such as S_b L^(-1), is a Cauchy product cut at the length of the
+    data it acts on, and each datum's Laplacian chain is walked once for both
+    of its series.  Zero data, and the series S_0 = 0, are skipped.
     """
     inverse = _inverse_trace_series(prob.b - prob.a, max(_length(prob.f0), _length(prob.f1)))
     u0 = u1 = MultiPoly.zero(prob.d)
@@ -91,7 +91,7 @@ def solve_slab(prob: SlabProblem) -> MultiPoly:
         u1 += parts[0]
         if wall:
             u0 += parts[1]
-    return even_ck_extension(u0) + odd_ck_extension(u1)
+    return cauchy_extension(u0, u1)
 
 
 def verify_boundary(h: MultiPoly, prob: SlabProblem) -> VerificationReport:

@@ -156,7 +156,9 @@ def test_oracle_route_rejects_bad_input():
 def test_oracle_solve_normal_form():
     # the oracle's h is the solution whose period average A = int_0^1 h dt
     # vanishes to second order on y1 = 0: every B_(j+1) has zero mean on
-    # (0, 1).  At d = 1 the general solver gives the same h.
+    # (0, 1).  At d = 1 the general solver gives the same h.  At every d,
+    # the general solver's h less the t-free harmonic with the Cauchy data
+    # of its own A on y1 = 0 (the CK extension in y1) is the oracle's h.
     rng = random.Random(87)
     for d in (1, 2, 3, 4):
         for _ in range(10):
@@ -164,8 +166,11 @@ def test_oracle_solve_normal_form():
             h = oracle_solve(g)
             average = h.integrate_t().trace(1)
             assert all(e[1] > 1 for e in average.terms), (d, average)
+            general = solve(DiffEqProblem(g, d))
             if d == 1:
-                assert h == solve(DiffEqProblem(g, 1))
+                assert h == general
+            a = general.integrate_t().trace(1)
+            assert general - harmonic_part(on_line(a), on_line(a.derivative(1))) == h, (d, g)
 
 
 def test_oracle_compare_examples():

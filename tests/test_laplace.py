@@ -11,6 +11,7 @@ import pytest
 from slab_harmonics import (
     MultiPoly,
     bernoulli_polynomial,
+    cauchy_extension,
     even_ck_extension,
     invert_trace_operator,
     odd_ck_extension,
@@ -40,10 +41,15 @@ def test_odd_ck_examples():
 
 def test_ck_rejects_t_dependent_input():
     t, _ = variables(1)
+    zero = MultiPoly.zero(1)
     with pytest.raises(ValueError):
         even_ck_extension(t)
     with pytest.raises(ValueError):
         odd_ck_extension(t * t)
+    with pytest.raises(ValueError):
+        cauchy_extension(t, zero)
+    with pytest.raises(ValueError):
+        cauchy_extension(zero, t)
 
 
 def test_ck_cauchy_data_random():
@@ -65,15 +71,16 @@ def test_ck_cauchy_data_random():
 
 
 def test_ck_uniqueness_decomposition():
-    # any harmonic P equals EvenCK(P(0,.)) + OddCK(dP/dt(0,.))
+    # any harmonic P equals EvenCK(P(0,.)) + OddCK(dP/dt(0,.)), which is the
+    # extension of both Cauchy data at once
     rng = random.Random(11)
     for _ in range(25):
-        d = rng.randint(1, 3)
+        d = rng.randint(1, 4)
         p = random_harmonic_poly(rng, d, 8)
-        rebuilt = even_ck_extension(p.trace(0)) + odd_ck_extension(
-            p.derivative(0).trace(0)
-        )
-        assert rebuilt == p
+        assert p.laplacian().is_zero  # the fibre Laplacian, not the CK kernel
+        u0, u1 = p.trace(0), p.derivative(0).trace(0)
+        assert even_ck_extension(u0) + odd_ck_extension(u1) == p
+        assert cauchy_extension(u0, u1) == p
 
 
 def test_trace_operator_examples():

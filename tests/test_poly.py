@@ -23,13 +23,14 @@ from slab_harmonics import (
 )
 from slab_harmonics.complex_oracle import harmonic_part, oracle_solve
 from slab_harmonics.laplace import (
+    cauchy_extension,
     even_ck_extension,
     invert_trace_operator,
     odd_ck_extension,
     poisson_solve,
     trace_operator,
 )
-from slab_harmonics.poly import _int_digits, _t_fibres
+from slab_harmonics.poly import _int_digits, _laplacian_y_num, _t_fibres
 from slab_harmonics.randgen import random_harmonic_poly, random_rational, random_tfree_poly
 
 F = Fraction
@@ -440,6 +441,7 @@ def test_internal_results_are_canonical(case):
         *p.parity_split_t(), p.trace(s), p.trace(0), p.laplacian(), p.laplacian_y(),
         *(p.derivative(var) for var in range(d + 1)),
         harmonic, harmonic.laplacian(), even_ck_extension(f), odd_ck_extension(g),
+        cauchy_extension(f, g), cauchy_extension(zero, zero),
         trace_operator(c, f), trace_operator(0, f), invert_trace_operator(c, f),
         poisson_solve(f),
     ]
@@ -452,10 +454,11 @@ def test_internal_results_are_canonical(case):
         _assert_canonical(r)
 
 
-def _laplacian_reference(terms, first):
+def _laplacian_reference(terms, axes):
+    """The sum of the second partials in the variables of index in axes."""
     out = {}
     for exps, c in terms.items():
-        for var in range(first, len(exps)):
+        for var in axes:
             n = exps[var]
             if n > 1:
                 e = exps[:var] + (n - 2,) + exps[var + 1 :]
@@ -481,10 +484,16 @@ def big_denominator_poly(draw):
 @settings(max_examples=100, deadline=None)
 @given(big_denominator_poly())
 def test_integer_laplacian_matches_fraction_reference(p):
-    for first, lap in ((0, p.laplacian()), (1, p.laplacian_y())):
+    every = range(p.d + 1)
+    for axes, lap in ((every, p.laplacian()), (every[1:], p.laplacian_y())):
         got = lap.terms
-        assert got == _laplacian_reference(p.terms, first)
+        assert got == _laplacian_reference(p.terms, axes)
         assert all(type(c) is Fraction and c for c in got.values())
+    # the Laplacian over every variable but one, on numerators
+    num, den = p.as_integer_ratio()
+    for skip in every:
+        got = MultiPoly._reduced(p.d, _laplacian_y_num(num, skip), den).terms
+        assert got == _laplacian_reference(p.terms, [v for v in every if v != skip])
     # the full Laplacian is computed once and kept
     assert p.laplacian() is p.laplacian()
     # cancellation to zero: t^2 y^2 - (t^4 + y^4)/6 is harmonic at every d
@@ -556,7 +565,7 @@ def test_laplacian_on_cancelling_sums():
 
 
 def _check_laplacian(p):
-    expected = _laplacian_reference(p.terms, 0)
+    expected = _laplacian_reference(p.terms, range(p.d + 1))
     q = _fresh(p)
     lap = q.laplacian()
     assert lap.terms == expected
@@ -818,8 +827,8 @@ def test_kernels_match_fraction_reference(case):
         (-p, {e: -v for e, v in a.items()}),
         (p * q, _mul_reference(a, b)),
         (p.scale(c), _clean({e: v * c for e, v in a.items()})),
-        (p.laplacian(), _laplacian_reference(a, 0)),
-        (p.laplacian_y(), _laplacian_reference(a, 1)),
+        (p.laplacian(), _laplacian_reference(a, range(p.d + 1))),
+        (p.laplacian_y(), _laplacian_reference(a, range(1, p.d + 1))),
         (p.integrate_t(), _integrate_t_reference(a)),
         (p.shift_t(s), _shift_reference(a, s)),
         (p.trace(s), _trace_reference(a, s)),
