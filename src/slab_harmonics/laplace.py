@@ -17,7 +17,9 @@ the same table.  The two extensions are one walk of poly's CK kernel
 (cauchy_extension).  One kernel, _series, applies the other three, each given
 as its list of rational coefficients, and several lists in one walk of
 Lap_y^k f; a product of two operators is the Cauchy product of their lists.
-The Poisson solver uses the radial |y|^2 ansatz per homogeneous component.
+The Poisson solver sums the radial |y|^2 ansatz of every homogeneous
+component by Horner in |y|^2 over one walk of the chain of its input.  Every
+walk of a chain Lap_y^k f is poly._chain.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from collections.abc import Sequence
 from operator import add
 
-from .poly import MultiPoly, Scalar, _cauchy_extension, _frac, _laplacian_y_num
+from .poly import MultiPoly, Scalar, _cauchy_extension, _chain, _frac
 
 
 def _require_t_free(p: MultiPoly, what: str) -> None:
@@ -50,23 +52,17 @@ def _over_lcm(coeffs: Sequence[tuple[int, int]]) -> Series:
 def _series(f: MultiPoly, series: Sequence[Series]) -> list[MultiPoly]:
     """For each (nums, den) in `series`: the sum
     sum_k (nums[k] / den) Lap_y^k f for t-free f.  The chain Lap_y^k f is
-    walked once over the numerators of f, for all the series together: its
-    factors are integers, so each sum is one integer map over den times the
-    denominator of f.  The gcd of that denominator with every coefficient
-    times the content of Lap_y^k f is divided out before the products are
-    formed, so a denominator full of factorials is never multiplied in and
-    scanned out term by term."""
-    term, f_den = f.as_integer_ratio()
-    chain = []  # (content, numerators) of each nonzero Lap_y^k f still needed
-    for k in range(max(len(nums) for nums, _ in series)):
-        if k:
-            term = _laplacian_y_num(term)
-        if not term:  # Lap_y^k f = 0, and so are the later powers
-            break
-        chain.append((math.gcd(*term.values()), term))
+    walked once (poly._chain) over the numerators of f, for all the series
+    together; each caller gives at least _length(f) coefficients, which
+    cover the chain.  Its factors are integers, so each sum is one integer
+    map over den times the denominator of f.  The gcd of that denominator
+    with every coefficient times the content of Lap_y^k f is divided out
+    before the products are formed, so a denominator full of factorials is
+    never multiplied in and scanned out term by term."""
+    chain = _chain(f._num)
     results = []
     for nums, den in series:
-        den *= f_den
+        den *= f._den
         steps = list(zip(nums, chain))
         common = math.gcd(den, *(c * content for c, (content, _) in steps))
         out: dict[tuple[int, ...], int] = {}
@@ -205,12 +201,15 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     Per homogeneous component f_m of degree m the radial ansatz
 
         G_m = sum_k c_k |y|^(2k+2) Lap_y^k f_m,
-        c_k = (-1)^k / prod_(i=0..k) 2(i+1)(2m-2i+d)
+        c_k = (-1)^k / q_k,  q_k = prod_(i=0..k) 2(i+1)(2m-2i+d)
 
     gives a particular solution; solutions are unique only up to a harmonic
-    addend, so the exact residual check at the end is the contract.  Every
-    c_k is put over one integer lcm, so all products go into one integer map
-    over that lcm times the denominator of f, reduced once.
+    addend, so the exact residual check at the end is the contract.  The
+    chain of f is walked once: Lap_y^k f_m is the part of Lap_y^k f of
+    degree m - 2k, so each term's c_k follows from its degree.  With every
+    c_k over one integer lcm, G = |y|^2 (A_0 + |y|^2 (A_1 + ...)), A_k the
+    weighted step k, is summed by Horner from the last step down into one
+    integer map over that lcm times the denominator of f, reduced once.
     """
     _require_t_free(f, "poisson_solve input")
     if f.is_zero:  # also spares building |y|^2 for a large d
@@ -218,39 +217,30 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     d = f.d
     r2 = MultiPoly(d, {(0,) * j + (2,) + (0,) * (d - j): 1 for j in range(1, d + 1)})
 
-    # split into homogeneous components by total degree
-    num, den = f.as_integer_ratio()
-    components: dict[int, dict] = {}
-    for exps, v in num.items():
-        components.setdefault(sum(exps), {})[exps] = v
+    # q_k of each degree j = m - 2k present in step k
+    chain = [term for _, term in _chain(f._num)]
+    qs = [
+        {
+            j: math.prod(2 * (i + 1) * (2 * (j + 2 * k - i) + d) for i in range(k + 1))
+            for j in set(map(sum, term))
+        }
+        for k, term in enumerate(chain)
+    ]
+    lcm = math.lcm(*(q for q_j in qs for q in q_j.values()))
 
-    # (k, q_k, numerators of Lap_y^k f_m) with c_k = (-1)^k / q_k
-    steps = []
-    for m, term in components.items():
-        q, k = 2 * (2 * m + d), 0
-        while term:
-            steps.append((k, q, term))
-            term = _laplacian_y_num(term)
-            k += 1
-            q *= 2 * (k + 1) * (2 * m - 2 * k + d)
-
-    # |y|^(2k+2) for every k needed, each built once
-    r2_pows = [r2]
-    for _ in range(max(k for k, _, _ in steps)):
-        r2_pows.append(r2_pows[-1] * r2)
-    r2_pows = [pw.as_integer_ratio()[0] for pw in r2_pows]  # denominators are 1
-
-    lcm = math.lcm(*(q for _, q, _ in steps))
-    out: dict[tuple[int, ...], int] = {}
-    for k, q, term in steps:
-        c = (-1) ** k * (lcm // q)
-        pow_items = r2_pows[k].items()
-        for ea, va in term.items():
-            va *= c
-            for eb, vb in pow_items:
+    num: dict[tuple[int, ...], int] = {}
+    r2_items = r2._num.items()
+    for k in range(len(chain) - 1, -1, -1):  # num <- |y|^2 (A_k + num)
+        c = {j: (-1) ** k * (lcm // q) for j, q in qs[k].items()}
+        for e, v in chain[k].items():
+            num[e] = num.get(e, 0) + c[sum(e)] * v
+        product: dict[tuple[int, ...], int] = {}
+        for ea, va in num.items():
+            for eb, vb in r2_items:
                 e = tuple(map(add, ea, eb))
-                out[e] = out.get(e, 0) + va * vb
-    result = MultiPoly._reduced(d, {e: v for e, v in out.items() if v}, lcm * den)
+                product[e] = product.get(e, 0) + va * vb
+        num = product
+    result = MultiPoly._reduced(d, {e: v for e, v in num.items() if v}, lcm * f._den)
 
     residual = result.laplacian_y() - f
     if not residual.is_zero:

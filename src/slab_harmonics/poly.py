@@ -104,6 +104,18 @@ def _laplacian_y_num(num: Numerators, skip: int = 0) -> Numerators:
     return {e: v for e, v in out.items() if v}
 
 
+def _chain(num: Numerators, skip: int = 0) -> list[tuple[int, Numerators]]:
+    """(content, numerators) of each nonzero L^k applied to num, k = 0, 1,
+    ..., with L the Laplacian of _laplacian_y_num(., skip); the only loop
+    that applies it repeatedly.  L strictly lowers degree, so the chain
+    ends, and it is empty for num = {}."""
+    steps = []
+    while num:
+        steps.append((math.gcd(*num.values()), num))
+        num = _laplacian_y_num(num, skip)
+    return steps
+
+
 def _cauchy_extension(u0: "MultiPoly", u1: "MultiPoly", var: int = 0) -> "MultiPoly":
     """The harmonic h with h = u0 and dh/dx = u1 on x = 0, x the variable at
     index var, for u0 and u1 free of x: sum_n (-1)^(n//2) x^n/n! L^(n//2) u_(n%2),
@@ -113,12 +125,11 @@ def _cauchy_extension(u0: "MultiPoly", u1: "MultiPoly", var: int = 0) -> "MultiP
     u0._check_space(u1)
     den = math.lcm(u0._den, u1._den)
     steps = []  # (n, signed factor of u_(n%2), content, numerators of L^(n//2) u_(n%2))
-    for n, u in enumerate((u0, u1)):
-        num, m = u._num, den // u._den
-        while num:
-            steps.append((n, m if n % 4 < 2 else -m, math.gcd(*num.values()), num))
-            num = _laplacian_y_num(num, var)
-            n += 2
+    for i, u in enumerate((u0, u1)):
+        m = den // u._den
+        for k, (content, num) in enumerate(_chain(u._num, var)):
+            n = 2 * k + i
+            steps.append((n, m if n % 4 < 2 else -m, content, num))
     top = max((step[0] for step in steps), default=0)
     den *= math.factorial(top)
     common = math.gcd(den, *(m * math.perm(top, top - n) * c for n, m, c, _ in steps))

@@ -72,25 +72,20 @@ def solve_slab(prob: SlabProblem) -> MultiPoly:
     and h = C_t u0 + S_t u1 is cauchy_extension(u0, u1).  Each composite
     series, such as S_b L^(-1), is a Cauchy product cut at the length of the
     data it acts on, and each datum's Laplacian chain is walked once for both
-    of its series.  Zero data, and the series S_0 = 0, are skipped.
+    of its series.  A zero datum has an empty chain, and the series S_0 = 0
+    has zero coefficients, so both give zero parts without a test.
     """
     inverse = _inverse_trace_series(prob.b - prob.a, max(_length(prob.f0), _length(prob.f1)))
     u0 = u1 = MultiPoly.zero(prob.d)
     # f0 enters u0 through S_b and u1 through -C_b; f1 through -S_a and C_a
     for f, wall, sign in ((prob.f0, prob.b, 1), (prob.f1, prob.a, -1)):
-        if f.is_zero:
-            continue
         n = _length(f)
-        series = [(-sign, _wall_series(wall, n, 0))]
-        if wall:  # else S_wall = 0
-            series.append((sign, _wall_series(wall, n, 1)))
-        parts = _series(f, [
-            _series_product(([s * v for v in nums], den), inverse, n)
-            for s, (nums, den) in series
+        walls = ((-sign, _wall_series(wall, n, 0)), (sign, _wall_series(wall, n, 1)))
+        c_part, s_part = _series(f, [
+            _series_product(([s * v for v in nums], den), inverse, n) for s, (nums, den) in walls
         ])
-        u1 += parts[0]
-        if wall:
-            u0 += parts[1]
+        u1 += c_part
+        u0 += s_part
     return cauchy_extension(u0, u1)
 
 

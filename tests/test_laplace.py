@@ -1,6 +1,7 @@
 """CK extensions, the trace operator and its inverse, and the Poisson solver."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -207,3 +208,32 @@ def test_poisson_solve_golden_digest():
         sols.append(poisson_solve(f).to_json_dict())
     digest = hashlib.sha256(json.dumps(sols, sort_keys=True).encode()).hexdigest()
     assert digest == "59ad62f51065cf77e9e393e277dc387904c64edbf9d936f6f6c7fed1ec60e188"
+
+
+def _poisson_power_table(f):
+    """The radial ansatz per homogeneous component f_m from public MultiPoly
+    ops: sum_m sum_k c_k |y|^(2k+2) Lap_y^k f_m, c_k = (-1)^k / q_k with
+    q_k = prod_(i=0..k) 2(i+1)(2m-2i+d)."""
+    d = f.d
+    r2 = MultiPoly(d, {(0,) * j + (2,) + (0,) * (d - j): 1 for j in range(1, d + 1)})
+    total = MultiPoly.zero(d)
+    for m in {sum(e) for e in f.terms}:
+        term = MultiPoly(d, {e: c for e, c in f.terms.items() if sum(e) == m})
+        k, q = 0, 2 * (2 * m + d)
+        while not term.is_zero:
+            total += (r2 ** (k + 1) * term).scale(F((-1) ** k, q))
+            term = term.laplacian_y()
+            k += 1
+            q *= 2 * (k + 1) * (2 * m - 2 * k + d)
+    return total
+
+
+def test_poisson_solve_is_the_power_table_sum_on_dense_data():
+    # dense data with every monomial up to the degree, where the one-chain
+    # Horner sum and the per-component products differ most
+    rng = random.Random(29)
+    for d, degree in ((2, 16), (3, 12), (4, 8), (5, 6), (6, 5)):
+        exps = [e for e in itertools.product(range(degree + 1), repeat=d) if sum(e) <= degree]
+        f = MultiPoly(d, {(0,) + e: F(rng.randint(-9, 9), rng.randint(1, 6)) for e in exps})
+        assert len(f.terms) > len(exps) // 2
+        assert poisson_solve(f).as_integer_ratio() == _poisson_power_table(f).as_integer_ratio()

@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 from slab_harmonics import (
     DiffEqProblem,
     MultiPoly,
+    SlabProblem,
     VerificationReport,
     oracle_compare,
+    poly,
     solve,
+    solve_slab,
     variables,
     verify_difference,
 )
@@ -500,6 +503,49 @@ def test_integer_laplacian_matches_fraction_reference(p):
     d = p.d
     h = MultiPoly(d, {(2, 2) + (0,) * (d - 1): 1, (4,) + (0,) * d: F(-1, 6), (0, 4) + (0,) * (d - 1): F(-1, 6)})
     assert h.laplacian().as_integer_ratio() == ({}, 1)
+
+
+def test_each_laplacian_chain_is_walked_once(monkeypatch):
+    # poly._chain is the one loop that applies _laplacian_y_num repeatedly:
+    # Poisson walks its whole input once, the slab solver the chains of f0,
+    # f1, u0 and u1, and nothing else applies the kernel but _chain and the
+    # residual check's laplacian_y
+    package = [m for name, m in sys.modules.items() if name.partition(".")[0] == "slab_harmonics"]
+    walked, callers = [], []
+    chain, kernel = poly._chain, poly._laplacian_y_num
+    assert [m for m in package if vars(m).get("_laplacian_y_num") is kernel] == [poly]
+    for module in package:
+        if vars(module).get("_chain") is chain:
+            monkeypatch.setattr(module, "_chain", lambda num, skip=0: walked.append(num) or chain(num, skip))
+
+    def counting_kernel(num, skip=0):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return kernel(num, skip)
+
+    monkeypatch.setattr(poly, "_laplacian_y_num", counting_kernel)
+
+    _, y1, y2 = variables(2)
+    f = y1 ** 6 * y2 - (y1 * y2).scale(F(2, 3)) + MultiPoly.constant(2, 5) + y2 ** 4
+    assert len({sum(e) for e in f.terms}) >= 3
+    poisson_solve(f)
+    assert walked == [f.as_integer_ratio()[0]]
+    assert set(callers) == {"_chain", "laplacian_y"}
+
+    rng = random.Random(41)
+    zero = MultiPoly.zero(2)
+    for a, f0, f1 in ((F(-1, 2), f, y1 * y2), (F(0), f, zero), (F(1, 3), zero, zero)):
+        walked.clear()
+        solve_slab(SlabProblem(a, F(2), 2, f0, f1))
+        assert len(walked) == 4  # f0, f1, u0, u1
+        assert walked[:2] == [f0.as_integer_ratio()[0], f1.as_integer_ratio()[0]]
+
+    callers.clear()
+    for d in (1, 2, 3):
+        g = random_harmonic_poly(rng, d, 9, max_terms=5)
+        solve_slab(SlabProblem(F(1, 3), F(2), d, g.trace(0), g.trace(1)))
+        solve(DiffEqProblem(g, d))
+        oracle_solve(g)
+    assert set(callers) == {"_chain", "laplacian_y"}
 
 
 def _fresh(p):
