@@ -58,7 +58,13 @@ def _potential(g: MultiPoly) -> MultiPoly:
 def solve(prob: DiffEqProblem) -> MultiPoly:
     """Harmonic h with shift_t(h,1) - h = g: the slab solution on (0, 1)
     with data (u0, u0 + f), where u0 = -(f + K G)/2, f = g(0,y),
-    G = poisson_solve(dg/dt(0,y)) and K = D cot(D/2)."""
+    G = poisson_solve(dg/dt(0,y)) and K = D cot(D/2).
+
+    K G = K_0 G + sum_(k>=1) K_k Lap_y^(k-1) p with p = dg/dt(0,y), since
+    Lap_y G = p exactly: G keeps its y-chain, G and then the chain of p
+    that the Poisson solve walked, so the K series walks no chain.  A solve
+    walks five chains: p's in the Poisson solve, then in the slab solve
+    those of its two wall data and of the two Cauchy data it extends."""
     f = prob.g.trace(0)
     potential = _potential(prob.g)
     (k_potential,) = _series(potential, [_cot_series(_length(potential))])

@@ -19,7 +19,10 @@ as its list of rational coefficients, and several lists in one walk of
 Lap_y^k f; a product of two operators is the Cauchy product of their lists.
 The Poisson solver sums the radial |y|^2 ansatz of every homogeneous
 component by Horner in |y|^2 over one walk of the chain of its input.  Every
-walk of a chain Lap_y^k f is poly._chain.
+walk of a chain Lap_y^k f is poly._chain, which keeps each step as its
+content and primitive numerators, so a series multiplies scalars into
+small numerators and divides none.  A Poisson solution G keeps its own
+chain, G and then its input's, so K G in diffeq walks no second chain.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from collections.abc import Sequence
 from operator import add
 
-from .poly import MultiPoly, Scalar, _cauchy_extension, _chain, _frac
+from .poly import MultiPoly, Scalar, _cauchy_extension, _frac
 
 
 def _require_t_free(p: MultiPoly, what: str) -> None:
@@ -52,14 +55,17 @@ def _over_lcm(coeffs: Sequence[tuple[int, int]]) -> Series:
 def _series(f: MultiPoly, series: Sequence[Series]) -> list[MultiPoly]:
     """For each (nums, den) in `series`: the sum
     sum_k (nums[k] / den) Lap_y^k f for t-free f.  The chain Lap_y^k f is
-    walked once (poly._chain) over the numerators of f, for all the series
-    together; each caller gives at least _length(f) coefficients, which
-    cover the chain.  Its factors are integers, so each sum is one integer
-    map over den times the denominator of f.  The gcd of that denominator
-    with every coefficient times the content of Lap_y^k f is divided out
-    before the products are formed, so a denominator full of factorials is
-    never multiplied in and scanned out term by term."""
-    chain = _chain(f._num)
+    read once (f._y_chain, which walks poly._chain unless f kept its chain)
+    over the numerators of f, for all the series together; each caller
+    gives at least _length(f) coefficients, which cover the chain.  Its
+    factors are integers, so each sum is one integer map over den times the
+    denominator of f.  Each step is its content times primitive numerators.
+    The gcd of that denominator with every coefficient times its step's
+    content is divided out of the scalars before the products are formed,
+    so a denominator full of factorials is never multiplied in and scanned
+    out term by term, and each term is one product of a scalar and a
+    primitive numerator."""
+    chain = f._y_chain()
     results = []
     for nums, den in series:
         den *= f._den
@@ -71,7 +77,7 @@ def _series(f: MultiPoly, series: Sequence[Series]) -> list[MultiPoly]:
                 continue
             m = c * content // common
             for exps, v in term.items():
-                out[exps] = out.get(exps, 0) + m * (v // content)
+                out[exps] = out.get(exps, 0) + m * v
         out = {e: v for e, v in out.items() if v}
         results.append(MultiPoly._reduced(f.d, out, den // common))
     return results
@@ -206,10 +212,14 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     gives a particular solution; solutions are unique only up to a harmonic
     addend, so the exact residual check at the end is the contract.  The
     chain of f is walked once: Lap_y^k f_m is the part of Lap_y^k f of
-    degree m - 2k, so each term's c_k follows from its degree.  With every
-    c_k over one integer lcm, G = |y|^2 (A_0 + |y|^2 (A_1 + ...)), A_k the
-    weighted step k, is summed by Horner from the last step down into one
-    integer map over that lcm times the denominator of f, reduced once.
+    degree j = m - 2k, so each term's c_k follows from its degree, and
+    q_k(j) = q_(k-1)(j+2) 2(k+1)(2(j+k)+d) is one product per degree of
+    step k.  With every c_k over one integer lcm, and times the content of
+    step k, G = |y|^2 (A_0 + |y|^2 (A_1 + ...)), A_k the weighted primitive
+    step k, is summed by Horner from the last step down into one integer
+    map over that lcm times the denominator of f, reduced once.  G keeps
+    its own y-chain, G followed by the chain of f, which the residual check
+    makes exact: a series in Lap_y on G walks no chain.
     """
     _require_t_free(f, "poisson_solve input")
     if f.is_zero:  # also spares building |y|^2 for a large d
@@ -217,22 +227,23 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     d = f.d
     r2 = MultiPoly(d, {(0,) * j + (2,) + (0,) * (d - j): 1 for j in range(1, d + 1)})
 
-    # q_k of each degree j = m - 2k present in step k
-    chain = [term for _, term in _chain(f._num)]
-    qs = [
-        {
-            j: math.prod(2 * (i + 1) * (2 * (j + 2 * k - i) + d) for i in range(k + 1))
-            for j in set(map(sum, term))
-        }
-        for k, term in enumerate(chain)
-    ]
+    # q_k(j) of each degree j present in step k; q_(k-1)(j+2) is that of the
+    # terms of step k-1 whose Laplacian has degree j
+    chain = f._y_chain()
+    qs = []
+    for k, (_, step) in enumerate(chain):
+        qs.append({
+            j: (qs[-1][j + 2] if k else 1) * 2 * (k + 1) * (2 * (j + k) + d)
+            for j in set(map(sum, step))
+        })
     lcm = math.lcm(*(q for q_j in qs for q in q_j.values()))
 
     num: dict[tuple[int, ...], int] = {}
     r2_items = r2._num.items()
     for k in range(len(chain) - 1, -1, -1):  # num <- |y|^2 (A_k + num)
-        c = {j: (-1) ** k * (lcm // q) for j, q in qs[k].items()}
-        for e, v in chain[k].items():
+        content, step = chain[k]
+        c = {j: (-1) ** k * content * (lcm // q) for j, q in qs[k].items()}
+        for e, v in step.items():
             num[e] = num.get(e, 0) + c[sum(e)] * v
         product: dict[tuple[int, ...], int] = {}
         for ea, va in num.items():
@@ -245,4 +256,5 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     residual = result.laplacian_y() - f
     if not residual.is_zero:
         raise ArithmeticError(f"poisson_solve residual is nonzero: {residual}")
+    result._keep_y_chain(f, chain)
     return result

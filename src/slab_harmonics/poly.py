@@ -105,26 +105,41 @@ def _laplacian_y_num(num: Numerators, skip: int = 0) -> Numerators:
 
 
 def _chain(num: Numerators, skip: int = 0) -> list[tuple[int, Numerators]]:
-    """(content, numerators) of each nonzero L^k applied to num, k = 0, 1,
-    ..., with L the Laplacian of _laplacian_y_num(., skip); the only loop
-    that applies it repeatedly.  L strictly lowers degree, so the chain
-    ends, and it is empty for num = {}."""
+    """(content, primitive numerators) of each nonzero L^k applied to num,
+    k = 0, 1, ..., with L the Laplacian of _laplacian_y_num(., skip); the
+    only loop that applies it repeatedly.  Each step is divided by its gcd
+    as it is walked and L is applied to the quotient, so the content of
+    L^k num is the running product of those gcds and content times step is
+    L^k num.  L strictly lowers degree, so the chain ends, and it is empty
+    for num = {}."""
     steps = []
+    content = 1
     while num:
-        steps.append((math.gcd(*num.values()), num))
+        g, num = _primitive(num)
+        content *= g
+        steps.append((content, num))
         num = _laplacian_y_num(num, skip)
     return steps
+
+
+def _primitive(num: Numerators) -> tuple[int, Numerators]:
+    """(content, num / content) for nonzero numerators num; num itself when
+    its content is 1."""
+    g = math.gcd(*num.values())
+    return g, num if g == 1 else {e: v // g for e, v in num.items()}
 
 
 def _cauchy_extension(u0: "MultiPoly", u1: "MultiPoly", var: int = 0) -> "MultiPoly":
     """The harmonic h with h = u0 and dh/dx = u1 on x = 0, x the variable at
     index var, for u0 and u1 free of x: sum_n (-1)^(n//2) x^n/n! L^(n//2) u_(n%2),
     L the Laplacian over the other variables.  Both chains are walked once
-    over integer numerators, every term over den top! with the factor top!/n!,
-    the content trick of laplace._series applied; no two terms share a key."""
+    over integer numerators, every term over den top! with the factor top!/n!
+    times the step's content, less their common gcd with den (the content
+    trick of laplace._series), on the primitive numerators of the step; no
+    two terms share a key."""
     u0._check_space(u1)
     den = math.lcm(u0._den, u1._den)
-    steps = []  # (n, signed factor of u_(n%2), content, numerators of L^(n//2) u_(n%2))
+    steps = []  # (n, signed factor of u_(n%2), content, primitive numerators of L^(n//2) u_(n%2))
     for i, u in enumerate((u0, u1)):
         m = den // u._den
         for k, (content, num) in enumerate(_chain(u._num, var)):
@@ -133,9 +148,8 @@ def _cauchy_extension(u0: "MultiPoly", u1: "MultiPoly", var: int = 0) -> "MultiP
     top = max((step[0] for step in steps), default=0)
     den *= math.factorial(top)
     common = math.gcd(den, *(m * math.perm(top, top - n) * c for n, m, c, _ in steps))
-    steps = [(n, m * math.perm(top, top - n) * c // common, c, num) for n, m, c, num in steps]
-    out = {e[:var] + (n,) + e[var + 1 :]: m * (v // c)
-           for n, m, c, num in steps for e, v in num.items()}
+    steps = [(n, m * math.perm(top, top - n) * c // common, num) for n, m, c, num in steps]
+    out = {e[:var] + (n,) + e[var + 1 :]: m * v for n, m, num in steps for e, v in num.items()}
     return MultiPoly._reduced(u0.d, out, den // common)
 
 
@@ -158,10 +172,12 @@ class MultiPoly:
     """Immutable sparse multivariate polynomial over the rationals."""
 
     # _lap holds the Laplacian once laplacian() has computed it, and _fib
-    # the grouping by y-monomial (_t_fibres) once a method has used it.  Both
-    # slots stay empty until then, so building a polynomial writes nothing
-    # to them.
-    __slots__ = ("d", "_num", "_den", "_lap", "_fib")
+    # the grouping by y-monomial (_t_fibres) once a method has used it.
+    # _ych holds the y-Laplacian chain (_chain) of a polynomial that
+    # laplace.poisson_solve returned, read off its input's chain.  Each slot
+    # stays empty until then, so building a polynomial writes nothing to
+    # them.
+    __slots__ = ("d", "_num", "_den", "_lap", "_fib", "_ych")
 
     def __init__(self, d: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
         _check_dim(d)
@@ -338,7 +354,7 @@ class MultiPoly:
         (k+2)(k+1) a_(k+2) at t^k, plus, for each y-variable v, n(n-1)
         times the fibre of b + 2e_v, with n the v-th exponent of b + 2e_v.
         Each sum is one list; a harmonic polynomial leaves every list zero
-        and gets the empty map.
+        and gets the empty map, without a scan of the entries.
         """
         try:
             return self._lap
@@ -362,7 +378,10 @@ class MultiPoly:
                         part = [c * x for x in a]
                         part[: len(s)] = map(add, part, s)
                         sums[key] = part
-        num = {(k,) + rest: v for rest, s in sums.items() for k, v in enumerate(s) if v}
+        if any(map(any, sums.values())):
+            num = {(k,) + rest: v for rest, s in sums.items() for k, v in enumerate(s) if v}
+        else:
+            num = {}
         lap = MultiPoly._reduced(self.d, num, self._den)
         object.__setattr__(self, "_lap", lap)
         return lap
@@ -462,6 +481,24 @@ class MultiPoly:
             object.__setattr__(self, "_fib", fibres)
             return fibres
 
+    def _y_chain(self) -> list[tuple[int, Numerators]]:
+        """_chain(numerators), the chain of the y-Laplacian: kept, if this
+        polynomial came from laplace.poisson_solve, else walked afresh."""
+        try:
+            return self._ych
+        except AttributeError:
+            return _chain(self._num)
+
+    def _keep_y_chain(self, lap_y: "MultiPoly", chain: list[tuple[int, Numerators]]) -> None:
+        """Keep the y-chain of a nonzero self with Lap_y self == lap_y
+        exactly, given chain = lap_y._y_chain(): self's primitive first step,
+        then lap_y's steps, each content times den / lap_y's den.  That is
+        the chain _chain(numerators) would walk, since the y-Laplacian of the
+        numerators is that multiple of lap_y's."""
+        scale = self._den // lap_y._den
+        steps = [_primitive(self._num)] + [(scale * c, step) for c, step in chain]
+        object.__setattr__(self, "_ych", steps)
+
     # -- evaluation ----------------------------------------------------------
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
@@ -519,15 +556,14 @@ class MultiPoly:
 
     def to_json_text(self) -> str:
         """The text json.dumps(self.to_json_dict()) gives, written in one
-        pass without a dict per term.  A coefficient of any size is
-        written: Python's int -> str digit limit is lifted meanwhile."""
+        pass without a dict per term: every term fills one % template, with
+        a field per exponent.  A coefficient of any size is written:
+        Python's int -> str digit limit is lifted meanwhile."""
+        if not self._num:  # before the template, which has d+1 fields
+            return '{"d": %d, "terms": []}' % self.d
+        term = '{"coeff": "%%d%%s", "exps": [%s]}' % ", ".join(["%d"] * (self.d + 1))
         with _int_digits(0):
-            terms = ", ".join(
-                [
-                    '{"coeff": "%d%s", "exps": %s}' % (p, tail, list(e))
-                    for e, p, tail in self._ratios()
-                ]
-            )
+            terms = ", ".join([term % (p, tail, *e) for e, p, tail in self._ratios()])
         return '{"d": %d, "terms": [%s]}' % (self.d, terms)
 
     def to_json_dict(self) -> dict:

@@ -20,7 +20,8 @@ from slab_harmonics import (
     trace_operator,
     variables,
 )
-from slab_harmonics.laplace import _cot_series, _series_product, _wall_series
+from slab_harmonics.laplace import _cot_series, _length, _series, _series_product, _wall_series
+from slab_harmonics.poly import _chain
 from slab_harmonics.randgen import random_harmonic_poly, random_tfree_poly
 
 F = Fraction
@@ -231,9 +232,30 @@ def _poisson_power_table(f):
 def test_poisson_solve_is_the_power_table_sum_on_dense_data():
     # dense data with every monomial up to the degree, where the one-chain
     # Horner sum and the per-component products differ most
+    # (and d = 1 at degree 64, where the weights' recurrence runs 33 steps)
     rng = random.Random(29)
-    for d, degree in ((2, 16), (3, 12), (4, 8), (5, 6), (6, 5)):
+    for d, degree in ((1, 64), (2, 16), (3, 12), (4, 8), (5, 6), (6, 5)):
         exps = [e for e in itertools.product(range(degree + 1), repeat=d) if sum(e) <= degree]
         f = MultiPoly(d, {(0,) + e: F(rng.randint(-9, 9), rng.randint(1, 6)) for e in exps})
         assert len(f.terms) > len(exps) // 2
         assert poisson_solve(f).as_integer_ratio() == _poisson_power_table(f).as_integer_ratio()
+
+
+def test_poisson_solution_keeps_the_chain_a_walk_gives():
+    # Lap_y G = p exactly, so G's y-chain is G and then p's chain, and
+    # K G = K_0 G + sum_(k>=1) K_k Lap_y^(k-1) p, bit for bit
+    rng = random.Random(37)
+    for d in (1, 2, 3, 4):
+        for _ in range(6):
+            p = random_tfree_poly(rng, d, (20, 12, 8, 6)[d - 1], max_terms=6)
+            if p.is_zero:
+                continue
+            g = poisson_solve(p)
+            assert g._y_chain() == _chain(g.as_integer_ratio()[0])
+            nums, den = _cot_series(_length(g))
+            (kg,) = _series(g, [(nums, den)])
+            (kp,) = _series(p, [(nums[1:], den)])
+            assert kg.as_integer_ratio() == (g.scale(F(nums[0], den)) + kp).as_integer_ratio()
+            # a copy of G, which keeps no chain, walks its own to the same bits
+            (walked,) = _series(MultiPoly(d, g.terms), [(nums, den)])
+            assert walked.as_integer_ratio() == kg.as_integer_ratio()

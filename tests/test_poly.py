@@ -505,18 +505,38 @@ def test_integer_laplacian_matches_fraction_reference(p):
     assert h.laplacian().as_integer_ratio() == ({}, 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(big_denominator_poly(), st.sampled_from([0, 1]))
+def test_chain_steps_are_primitive_and_scale_to_the_laplacian_powers(p, skip):
+    # every step of _chain has numerator gcd 1, and its content times the
+    # step is L^k of the input, L the Laplacian over every variable but skip
+    num, _ = p.as_integer_ratio()
+    axes = [v for v in range(p.d + 1) if v != skip]
+    power = num
+    for content, step in poly._chain(num, skip):
+        assert content > 0 and math.gcd(*step.values()) == 1
+        assert {e: content * v for e, v in step.items()} == power
+        power = _laplacian_reference(power, axes)
+    assert not power  # the chain ends at the first zero power
+
+
 def test_each_laplacian_chain_is_walked_once(monkeypatch):
     # poly._chain is the one loop that applies _laplacian_y_num repeatedly:
     # Poisson walks its whole input once, the slab solver the chains of f0,
-    # f1, u0 and u1, and nothing else applies the kernel but _chain and the
-    # residual check's laplacian_y
+    # f1, u0 and u1, the diffeq solver those of p = dg/dt(0,y) and of its
+    # slab solve's four, and nothing else applies the kernel but _chain and
+    # the residual check's laplacian_y
     package = [m for name, m in sys.modules.items() if name.partition(".")[0] == "slab_harmonics"]
-    walked, callers = [], []
-    chain, kernel = poly._chain, poly._laplacian_y_num
+    walked, callers, poissons = [], [], []
+    chain, kernel, poisson = poly._chain, poly._laplacian_y_num, poisson_solve
     assert [m for m in package if vars(m).get("_laplacian_y_num") is kernel] == [poly]
     for module in package:
         if vars(module).get("_chain") is chain:
             monkeypatch.setattr(module, "_chain", lambda num, skip=0: walked.append(num) or chain(num, skip))
+    bound = [m for m in package if vars(m).get("poisson_solve") is poisson]
+    assert sys.modules["slab_harmonics.diffeq"] in bound
+    for module in bound:
+        monkeypatch.setattr(module, "poisson_solve", lambda f: poissons.append(f) or poisson(f))
 
     def counting_kernel(num, skip=0):
         callers.append(sys._getframe(1).f_code.co_name)
@@ -543,7 +563,15 @@ def test_each_laplacian_chain_is_walked_once(monkeypatch):
     for d in (1, 2, 3):
         g = random_harmonic_poly(rng, d, 9, max_terms=5)
         solve_slab(SlabProblem(F(1, 3), F(2), d, g.trace(0), g.trace(1)))
+        p = g.derivative(0).trace(0)
+        assert not p.is_zero
+        walked.clear()
+        poissons.clear()
         solve(DiffEqProblem(g, d))
+        # K G reads the chain of p that the Poisson solve walked
+        assert poissons == [p]
+        assert len(walked) == 5  # p, then the slab solve's f0, f1, u0, u1
+        assert walked[0] == p.as_integer_ratio()[0]
         oracle_solve(g)
     assert set(callers) == {"_chain", "laplacian_y"}
 
