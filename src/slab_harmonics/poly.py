@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain, repeat
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 Scalar = Fraction | int | str
 
@@ -353,31 +353,36 @@ class MultiPoly:
         t-numerators at y^b are those of d2/dt2 on the fibre of b,
         (k+2)(k+1) a_(k+2) at t^k, plus, for each y-variable v, n(n-1)
         times the fibre of b + 2e_v, with n the v-th exponent of b + 2e_v.
-        Each sum is one list; a harmonic polynomial leaves every list zero
-        and gets the empty map, without a scan of the entries.
+        Each target y-monomial gets one list as long as the longest fibre:
+        the d2/dt2 part, built by one map per fibre, padded with zeros.  Each
+        y-part is then added into it in place, by scalar +=, which beats a
+        map per (fibre, variable) pair on fibres a few entries long.  A
+        harmonic polynomial leaves every list zero and gets the empty map,
+        without a scan of the entries.
         """
         try:
             return self._lap
         except AttributeError:
             pass
         fibres = self._fibres()
-        top = max(map(len, fibres.values()), default=2) - 1
-        weights = [(k + 2) * (k + 1) for k in range(top - 1)]
-        sums = {rest: list(map(mul, weights, a[2:])) for rest, a in fibres.items()}
+        length = max(map(len, fibres.values()), default=0)
+        weights = [(k + 2) * (k + 1) for k in range(length)]
+        sums = {}
+        for rest, a in fibres.items():
+            sums[rest] = s = list(map(mul, weights, a[2:]))
+            s += [0] * (length - len(s))
         for rest, a in fibres.items():
             for v, n in enumerate(rest):
                 if n > 1:
                     key = rest[:v] + (n - 2,) + rest[v + 1 :]
-                    c = n * (n - 1)
                     s = sums.get(key)
                     if s is None:
-                        sums[key] = [c * x for x in a]
-                    elif len(s) >= len(a):
-                        s[: len(a)] = map(add, s, map(mul, a, repeat(c)))
-                    else:
-                        part = [c * x for x in a]
-                        part[: len(s)] = map(add, part, s)
-                        sums[key] = part
+                        sums[key] = s = [0] * length
+                    c = n * (n - 1)
+                    k = 0  # a counter runs faster here than enumerate
+                    for x in a:
+                        s[k] += c * x
+                        k += 1
         if any(map(any, sums.values())):
             num = {(k,) + rest: v for rest, s in sums.items() for k, v in enumerate(s) if v}
         else:
@@ -446,7 +451,11 @@ class MultiPoly:
         return self.traces(t0)[0]
 
     def traces(self, *points: Scalar) -> list["MultiPoly"]:
-        """[trace(t0) for t0 in points], grouping the terms by y-monomial once."""
+        """[trace(t0) for t0 in points], grouping the terms by y-monomial once.
+
+        At t0 = p/q a fibre a_0..a_m gives the homogeneous Horner sum
+        sum_k a_k p^k q^(m-k), brought from q^m to q^top; the powers
+        q^0..q^top are tabled once per point."""
         points = [_frac(t0) for t0 in points]
         if not self._num:
             return [self] * len(points)
@@ -458,17 +467,18 @@ class MultiPoly:
         out = []
         for t0 in points:
             p, q = t0.numerator, t0.denominator
+            powers = [1]  # powers[j] = q^j
+            for _ in range(top):
+                powers.append(powers[-1] * q)
             num: Numerators = {}
             for rest, a in fibres.items():
-                # homogeneous Horner: v = sum_k a_k p^k q^(m-k), over q^m
-                v = a[-1]
-                qk = 1
-                for k in range(len(a) - 2, -1, -1):
-                    qk *= q
-                    v = v * p + a[k] * qk
+                m = len(a) - 1
+                v = a[m]
+                for k in range(m - 1, -1, -1):
+                    v = v * p + a[k] * powers[m - k]
                 if v:
-                    num[(0,) + rest] = v * q ** (top + 1 - len(a))
-            out.append(MultiPoly._reduced(self.d, num, self._den * q**top))
+                    num[(0,) + rest] = v * powers[top - m]
+            out.append(MultiPoly._reduced(self.d, num, self._den * powers[top]))
         return out
 
     def _fibres(self) -> dict[tuple[int, ...], list[int]]:

@@ -52,3 +52,34 @@ def test_the_cli_imports_only_the_standard_library_it_runs():
     # bench/tracer.py reads these from sys.modules right after importing the cli
     traced = {"cli", "poly", "laplace", "slab", "diffeq", "complex_oracle"}
     assert {f"slab_harmonics.{name}" for name in traced} <= loaded
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The names an import statement binds: `import a.b` binds a."""
+    return [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+
+
+def test_every_imported_name_is_used():
+    # a name counts as used when the module reads it, or lists it in __all__
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                unused += [
+                    f"{path.name}:{node.lineno}: {name}"
+                    for name in _bound_names(node)
+                    if name not in read
+                ]
+    assert not unused

@@ -236,6 +236,33 @@ def test_traces_equal_one_trace_per_point(p, a, b):
         assert [r.terms for r in got] == [_trace_reference(p.terms, t0) for t0 in points]
 
 
+# walls a = +-p/3, b = a + q/2 with (p, q) in (4, 5), (5, 7), (7, 3): the walls
+# of the high-degree benchmark problems
+SIZED_WALLS = [
+    (s * F(p, 3), s * F(p, 3) + F(q, 2)) for p, q in ((4, 5), (5, 7), (7, 3)) for s in (1, -1)
+]
+
+
+@pytest.mark.parametrize("a, b", SIZED_WALLS, ids=str)
+def test_traces_of_long_fibres_match_the_reference(a, b):
+    # d = 1 at t-degree 90-100: fibres of many lengths, from 1 to 101, with
+    # zero entries, so that every power q^(m-k) and q^(top-m) is read
+    rng = random.Random(f"{a}:{b}")
+    terms = {}
+    for j in range(12):
+        m = rng.randint(90, 100) if j % 4 == 1 else rng.choice([0, 1, 2, rng.randint(3, 89)])
+        for k in range(m + 1):
+            if k == m or rng.random() < 0.7:
+                terms[(k, j)] = F(rng.randint(-(10**6), 10**6) or 1, rng.randint(1, 10**4))
+    p = MultiPoly(1, terms)
+    assert max(e[0] for e in terms) >= 90
+    expected = [_trace_reference(p.terms, t0) for t0 in (a, b)]
+    assert [r.terms for r in p.traces(a, b)] == expected
+    assert [_fresh(p).trace(t0).terms for t0 in (a, b)] == expected
+    h = random_harmonic_poly(rng, 1, 96)
+    assert [r.terms for r in h.traces(a, b)] == [_trace_reference(h.terms, t0) for t0 in (a, b)]
+
+
 # -- algebraic properties ----------------------------------------------------
 
 
@@ -636,6 +663,15 @@ def test_laplacian_on_cancelling_sums():
                 _check_laplacian(v * v - w * w)
                 _check_laplacian((v * v - w * w) * t + (t * t).scale(3))
                 _check_laplacian((v * v - w * w) * t ** 3 + (t ** 4 - w ** 4).scale(F(1, 5)))
+    # d = 1 at t-degree 64, fibres up to 65 long: Re (t + i y1)^64 and
+    # Im (t + i y1)^61, then one monomial more in the middle of a fibre
+    def power(n, odd):
+        return {(n - j, j): F((-1) ** (j // 2) * math.comb(n, j), 7) for j in range(odd, n + 1, 2)}
+
+    h = MultiPoly(1, power(64, 0)) + MultiPoly(1, power(61, 1))
+    assert h.laplacian().is_zero and max(e[0] for e in h.terms) == 64
+    _check_laplacian(h)
+    _check_laplacian(h + _monomial(1, (33, 5), F(-3, 11)))
 
 
 def _check_laplacian(p):

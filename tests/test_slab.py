@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from slab_harmonics import (
     MultiPoly,
     SlabProblem,
+    VerificationReport,
     even_ck_extension,
     even_reflection_identity,
     invert_trace_operator,
@@ -157,6 +158,60 @@ def test_verify_boundary_flags_perturbations():
     assert rep.residuals["trace_at_a"] == r
     assert rep.residuals["trace_at_b"] == r
     assert rep.residuals["laplacian"].is_zero
+
+
+def _boundary_reference(h, prob):
+    """verify_boundary's residuals as trace - datum, always subtracted."""
+    at_a, at_b = MultiPoly(h.d, h.terms).traces(prob.a, prob.b)
+    return {"trace_at_a": at_a - prob.f0, "trace_at_b": at_b - prob.f1, "laplacian": h.laplacian()}
+
+
+def _without_elapsed(report):
+    obj = report.to_json_dict()
+    del obj["elapsed_seconds"]
+    return obj
+
+
+def test_passing_boundary_check_subtracts_nothing(monkeypatch):
+    rng = random.Random(53)
+    for d in (1, 2, 3):
+        prob = _random_slab_problem(rng, d)
+        h = solve_slab(prob)
+        reference = VerificationReport.from_residuals("slab_boundary", _boundary_reference(h, prob))
+        calls = []
+        plus = MultiPoly._plus
+        monkeypatch.setattr(MultiPoly, "_plus", lambda *args: calls.append(args) or plus(*args))
+        report = verify_boundary(h, prob)
+        monkeypatch.undo()
+        assert report.passed and calls == []
+        for key in ("trace_at_a", "trace_at_b"):
+            assert report.residuals[key] == MultiPoly.zero(d)
+            assert report.residuals[key].to_json_text() == '{"d": %d, "terms": []}' % d
+        # the written report is the one the subtractions gave, but for its time
+        assert _without_elapsed(report) == _without_elapsed(reference)
+
+
+def test_a_solution_wrong_at_one_wall_is_flagged_at_that_wall_only():
+    rng = random.Random(54)
+    for d in (1, 2, 3):
+        prob = _random_slab_problem(rng, d)
+        h = solve_slab(prob)
+        t, y1 = variables(d)[:2]
+        a, b = (MultiPoly.constant(d, c) for c in (prob.a, prob.b))
+        r = y1.scale(F(3, 7)) + MultiPoly.constant(d, F(-2, 5))  # harmonic and t-free
+        # (t - a) r vanishes at t = a only, (t - b) r at t = b only; both are harmonic
+        for wrong, right, wall, bump in (
+            ("trace_at_b", "trace_at_a", prob.b, t - a),
+            ("trace_at_a", "trace_at_b", prob.a, t - b),
+        ):
+            bad = h + bump * r
+            report = verify_boundary(bad, prob)
+            assert not report.passed
+            assert report.residuals == _boundary_reference(bad, prob)
+            assert report.residuals[wrong] == bump.trace(wall) * r
+            assert not report.residuals[wrong].is_zero
+            assert report.residuals[right] == MultiPoly.zero(d)
+            assert report.residuals["laplacian"].is_zero
 
 
 def test_even_reflection_identity_examples():
