@@ -21,8 +21,12 @@ The Poisson solver sums the radial |y|^2 ansatz of every homogeneous
 component by Horner in |y|^2 over one walk of the chain of its input.  Every
 walk of a chain Lap_y^k f is poly._chain, which keeps each step as its
 content and primitive numerators, so a series multiplies scalars into
-small numerators and divides none.  A Poisson solution G keeps its own
-chain, G and then its input's, so K G in diffeq walks no second chain.
+small numerators and divides none.  It walks on integer monomial ids
+(poly._MonomialIndex) that hold each monomial's Laplacian targets once
+computed; _series and the CK kernel take the index of their caller, so
+the four walks of a slab solve share one, and any other walk makes its
+own.  A Poisson solution G keeps its own chain, G and then its input's,
+so K G in diffeq walks no second chain.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 from collections.abc import Sequence
 from operator import add
 
-from .poly import MultiPoly, Scalar, _cauchy_extension, _frac
+from .poly import MultiPoly, Scalar, _cauchy_extension, _frac, _MonomialIndex
 
 
 def _require_t_free(p: MultiPoly, what: str) -> None:
@@ -52,12 +56,15 @@ def _over_lcm(coeffs: Sequence[tuple[int, int]]) -> Series:
     return [p * (den // q) for p, q in coeffs], den
 
 
-def _series(f: MultiPoly, series: Sequence[Series]) -> list[MultiPoly]:
+def _series(
+    f: MultiPoly, series: Sequence[Series], index: _MonomialIndex | None = None
+) -> list[MultiPoly]:
     """For each (nums, den) in `series`: the sum
     sum_k (nums[k] / den) Lap_y^k f for t-free f.  The chain Lap_y^k f is
-    read once (f._y_chain, which walks poly._chain unless f kept its chain)
-    over the numerators of f, for all the series together; each caller
-    gives at least _length(f) coefficients, which cover the chain.  Its
+    read once (f._y_chain, which walks poly._chain on the caller's index,
+    or on a new one, unless f kept its chain) over the numerators of f, for
+    all the series together; each caller gives at least _length(f)
+    coefficients, which cover the chain.  Its
     factors are integers, so each sum is one integer map over den times the
     denominator of f.  Each step is its content times primitive numerators.
     The gcd of that denominator with every coefficient times its step's
@@ -65,7 +72,7 @@ def _series(f: MultiPoly, series: Sequence[Series]) -> list[MultiPoly]:
     so a denominator full of factorials is never multiplied in and scanned
     out term by term, and each term is one product of a scalar and a
     primitive numerator."""
-    chain = f._y_chain()
+    chain = f._y_chain(index)
     results = []
     for nums, den in series:
         den *= f._den

@@ -13,6 +13,14 @@ and polynomial identities are checked by literal equality.  `Fraction`s
 appear only at the edges: scalar arguments, the `terms` view and the value of
 `eval_exact`.  The canonical serialized term order is graded lexicographic
 (leading term first), with t ordered before y1 < ... < yd.
+
+Every walk of a Laplacian chain L^k f, for the y-Laplacian and for the
+Laplacian over every variable but y1, is _chain.  It runs on a
+_MonomialIndex, integer ids of the exponent tuples with each monomial's
+Laplacian targets computed once, which the walks of one solve share and
+which lives only as long as that call.  MultiPoly.laplacian_y applies the
+term-by-term kernel _laplacian_y_num instead, so a check of a walk's
+result shares no Laplacian code with the walk.
 """
 
 from __future__ import annotations
@@ -89,12 +97,11 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension d must be >= 1, got {d}")
 
 
-def _laplacian_y_num(num: Numerators, skip: int = 0) -> Numerators:
-    """The Laplacian over every variable but index skip (by default the
-    y-Laplacian) on numerators.  The factors n(n-1) are integers, so the
-    denominator does not change."""
+def _laplacian_y_num(num: Numerators) -> Numerators:
+    """The y-Laplacian on numerators, term by term.  The factors n(n-1) are
+    integers, so the denominator does not change."""
     out: Numerators = {}
-    others = [v for v in range(len(next(iter(num), ()))) if v != skip]
+    others = range(1, len(next(iter(num), ())))
     for exps, a in num.items():
         for var in others:
             n = exps[var]
@@ -104,22 +111,78 @@ def _laplacian_y_num(num: Numerators, skip: int = 0) -> Numerators:
     return {e: v for e, v in out.items() if v}
 
 
-def _chain(num: Numerators, skip: int = 0) -> list[tuple[int, Numerators]]:
+class _MonomialIndex:
+    """Integer ids of exponent tuples, for the Laplacian L over every
+    variable but index skip: keys[i] is the tuple of id i, and targets[i]
+    the pairs (id of the tuple with one exponent n > 1 lowered by 2,
+    n(n-1)) of L on that monomial, over the variables in order; None until
+    a walk first reaches the monomial.  So the walks that share an index
+    build and hash each target tuple once, and every other visit of a
+    monomial reads its targets by an integer.  An index belongs to the one
+    call that made it: a slab solve shares one among its four walks, and
+    it is dropped when that call returns."""
+
+    __slots__ = ("skip", "ids", "keys", "targets")
+
+    def __init__(self, skip: int = 0):
+        self.skip = skip
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.keys: list[tuple[int, ...]] = []
+        self.targets: list[list[tuple[int, int]] | None] = []
+
+    def _new(self, exps: tuple[int, ...]) -> int:
+        """The id of a tuple that has none yet."""
+        i = self.ids[exps] = len(self.keys)
+        self.keys.append(exps)
+        self.targets.append(None)
+        return i
+
+    def _fill(self, i: int) -> list[tuple[int, int]]:
+        """targets[i], computed on the first visit of monomial i."""
+        exps, ids, skip = self.keys[i], self.ids, self.skip
+        out = []
+        for var, n in enumerate(exps):
+            if n > 1 and var != skip:
+                e = exps[:var] + (n - 2,) + exps[var + 1 :]
+                j = ids.get(e)
+                out.append((self._new(e) if j is None else j, n * (n - 1)))
+        self.targets[i] = out
+        return out
+
+
+def _chain(num: Numerators, index: _MonomialIndex) -> list[tuple[int, Numerators]]:
     """(content, primitive numerators) of each nonzero L^k applied to num,
-    k = 0, 1, ..., with L the Laplacian of _laplacian_y_num(., skip); the
-    only loop that applies it repeatedly.  Each step is divided by its gcd
-    as it is walked and L is applied to the quotient, so the content of
-    L^k num is the running product of those gcds and content times step is
-    L^k num.  L strictly lowers degree, so the chain ends, and it is empty
-    for num = {}."""
-    steps = []
-    content = 1
-    while num:
-        g, num = _primitive(num)
+    k = 0, 1, ..., with L the Laplacian of the index; the only loop that
+    applies L repeatedly.  Each step is divided by its gcd as it is walked
+    and L is applied to the quotient, so the content of L^k num is the
+    running product of those gcds and content times step is L^k num.  The
+    walk runs on the ids of the index, reads each monomial's targets there
+    (filling them on its first visit), and gives each step keyed by tuple.
+    L strictly lowers degree, so the chain ends, and it is empty for
+    num = {}."""
+    if not num:
+        return []
+    ids, keys, targets = index.ids, index.keys, index.targets
+    content, step = _primitive(num)
+    steps = [(content, step)]
+    cur = {}
+    for e, v in step.items():
+        i = ids.get(e)
+        cur[index._new(e) if i is None else i] = v
+    while True:
+        out: dict[int, int] = {}
+        for i, a in cur.items():
+            t = targets[i]
+            if t is None:
+                t = index._fill(i)
+            for j, w in t:
+                out[j] = out.get(j, 0) + a * w
+        g = math.gcd(*out.values())
+        if not g:
+            return steps
         content *= g
-        steps.append((content, num))
-        num = _laplacian_y_num(num, skip)
-    return steps
+        cur = {j: v // g for j, v in out.items() if v}
+        steps.append((content, dict(zip(map(keys.__getitem__, cur), cur.values()))))
 
 
 def _primitive(num: Numerators) -> tuple[int, Numerators]:
@@ -129,20 +192,25 @@ def _primitive(num: Numerators) -> tuple[int, Numerators]:
     return g, num if g == 1 else {e: v // g for e, v in num.items()}
 
 
-def _cauchy_extension(u0: "MultiPoly", u1: "MultiPoly", var: int = 0) -> "MultiPoly":
+def _cauchy_extension(
+    u0: "MultiPoly", u1: "MultiPoly", var: int = 0, index: _MonomialIndex | None = None
+) -> "MultiPoly":
     """The harmonic h with h = u0 and dh/dx = u1 on x = 0, x the variable at
     index var, for u0 and u1 free of x: sum_n (-1)^(n//2) x^n/n! L^(n//2) u_(n%2),
     L the Laplacian over the other variables.  Both chains are walked once
-    over integer numerators, every term over den top! with the factor top!/n!
-    times the step's content, less their common gcd with den (the content
-    trick of laplace._series), on the primitive numerators of the step; no
-    two terms share a key."""
+    over integer numerators, on the caller's index of skip var or else on
+    one made here for the two, every term over den top! with the factor
+    top!/n! times the step's content, less their common gcd with den (the
+    content trick of laplace._series), on the primitive numerators of the
+    step; no two terms share a key."""
     u0._check_space(u1)
+    if index is None:
+        index = _MonomialIndex(var)
     den = math.lcm(u0._den, u1._den)
     steps = []  # (n, signed factor of u_(n%2), content, primitive numerators of L^(n//2) u_(n%2))
     for i, u in enumerate((u0, u1)):
         m = den // u._den
-        for k, (content, num) in enumerate(_chain(u._num, var)):
+        for k, (content, num) in enumerate(_chain(u._num, index)):
             n = 2 * k + i
             steps.append((n, m if n % 4 < 2 else -m, content, num))
     top = max((step[0] for step in steps), default=0)
@@ -491,13 +559,14 @@ class MultiPoly:
             object.__setattr__(self, "_fib", fibres)
             return fibres
 
-    def _y_chain(self) -> list[tuple[int, Numerators]]:
+    def _y_chain(self, index: _MonomialIndex | None = None) -> list[tuple[int, Numerators]]:
         """_chain(numerators), the chain of the y-Laplacian: kept, if this
-        polynomial came from laplace.poisson_solve, else walked afresh."""
+        polynomial came from laplace.poisson_solve, else walked afresh on
+        the caller's index of skip 0, or on a new one."""
         try:
             return self._ych
         except AttributeError:
-            return _chain(self._num)
+            return _chain(self._num, _MonomialIndex() if index is None else index)
 
     def _keep_y_chain(self, lap_y: "MultiPoly", chain: list[tuple[int, Numerators]]) -> None:
         """Keep the y-chain of a nonzero self with Lap_y self == lap_y

@@ -1,5 +1,7 @@
 """Core polynomial arithmetic: worked examples plus algebraic property tests."""
 
+import gc
+import itertools
 import json
 import math
 import random
@@ -519,10 +521,15 @@ def test_integer_laplacian_matches_fraction_reference(p):
         got = lap.terms
         assert got == _laplacian_reference(p.terms, axes)
         assert all(type(c) is Fraction and c for c in got.values())
-    # the Laplacian over every variable but one, on numerators
+    # on numerators: the y-Laplacian term by term, and the Laplacian over
+    # every variable but one as the second step of a chain walk
     num, den = p.as_integer_ratio()
+    got = MultiPoly._reduced(p.d, _laplacian_y_num(num), den).terms
+    assert got == _laplacian_reference(p.terms, every[1:])
     for skip in every:
-        got = MultiPoly._reduced(p.d, _laplacian_y_num(num, skip), den).terms
+        steps = poly._chain(num, poly._MonomialIndex(skip))
+        lap = {e: c * v for c, step in steps[1:2] for e, v in step.items()}
+        got = MultiPoly._reduced(p.d, lap, den).terms
         assert got == _laplacian_reference(p.terms, [v for v in every if v != skip])
     # the full Laplacian is computed once and kept
     assert p.laplacian() is p.laplacian()
@@ -532,64 +539,146 @@ def test_integer_laplacian_matches_fraction_reference(p):
     assert h.laplacian().as_integer_ratio() == ({}, 1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(big_denominator_poly(), st.sampled_from([0, 1]))
-def test_chain_steps_are_primitive_and_scale_to_the_laplacian_powers(p, skip):
-    # every step of _chain has numerator gcd 1, and its content times the
-    # step is L^k of the input, L the Laplacian over every variable but skip
-    num, _ = p.as_integer_ratio()
-    axes = [v for v in range(p.d + 1) if v != skip]
-    power = num
-    for content, step in poly._chain(num, skip):
-        assert content > 0 and math.gcd(*step.values()) == 1
-        assert {e: content * v for e, v in step.items()} == power
-        power = _laplacian_reference(power, axes)
-    assert not power  # the chain ends at the first zero power
+@st.composite
+def walk_inputs(draw):
+    """A dimension d = 1..5, a skip of 0 or 1, and a few numerator maps of
+    dimension d in drawn order: sparse with large coefficients, dense up to
+    a small degree, zero, or a part whose Laplacian over every variable but
+    skip cancels in full, plus sparse terms that keep the chain going."""
+    d = draw(st.integers(1, 5))
+    skip = draw(st.sampled_from([0, 1]))
+    axes = [v for v in range(d + 1) if v != skip]
+    exps = st.tuples(*[st.integers(0, 5) for _ in range(d + 1)])
+    sparse = st.lists(st.tuples(exps, big_rationals), max_size=12).map(dict)
+
+    def dense(seed, n):
+        rng = random.Random(seed)
+        every = itertools.product(range(n + 1), repeat=d + 1)
+        return {e: rng.randint(-9, 9) or 1 for e in every if sum(e) <= n}
+
+    def cancelling(k, extra):
+        # skip^k (6 a^2 b^2 - a^4 - b^4) for two axes a, b has L = 0, both
+        # of its targets cancelling; at d = 1 there is one axis a, and
+        # skip^k a has L = 0
+        a, b = axes[0], axes[-1]
+        terms = {}
+        for ea, eb, c in ((2, 2, 6), (4, 0, -1), (0, 4, -1)) if a != b else ((1, 1, 1),):
+            e = [0] * (d + 1)
+            e[skip], e[a], e[b] = k, ea, eb
+            terms[tuple(e)] = c
+        return {**extra, **terms}
+
+    kinds = st.one_of(
+        sparse,
+        st.builds(dense, st.integers(0, 2**32), st.integers(0, 4 if d < 4 else 3)),
+        st.just({}),
+        st.builds(cancelling, st.integers(0, 3), sparse),
+    )
+    polys = draw(st.lists(kinds, min_size=1, max_size=5))
+    return d, skip, [MultiPoly(d, terms).as_integer_ratio()[0] for terms in polys]
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_inputs())
+def test_chain_steps_are_primitive_and_scale_to_the_laplacian_powers(case):
+    # walks in drawn order on one shared index: each gives the chain a walk
+    # on a fresh index gives, every step has numerator gcd 1, and its content
+    # times the step is L^k of the input, L the Laplacian over every variable
+    # but skip
+    d, skip, nums = case
+    axes = [v for v in range(d + 1) if v != skip]
+    index = poly._MonomialIndex(skip)
+    for num in nums:
+        steps = poly._chain(num, index)
+        assert steps == poly._chain(num, poly._MonomialIndex(skip))
+        power = num
+        for content, step in steps:
+            assert content > 0 and math.gcd(*step.values()) == 1
+            assert {e: content * v for e, v in step.items()} == power
+            power = _laplacian_reference(power, axes)
+        assert not power  # the chain ends at the first zero power
+    # the index: one id per tuple, and each filled target is L of its monomial
+    assert [index.ids[e] for e in index.keys] == list(range(len(index.keys)))
+    for e, targets in zip(index.keys, index.targets):
+        if targets is not None:
+            lap = {index.keys[j]: w for j, w in targets}
+            assert lap == _laplacian_reference({e: 1}, axes)
 
 
 def test_each_laplacian_chain_is_walked_once(monkeypatch):
-    # poly._chain is the one loop that applies _laplacian_y_num repeatedly:
+    # poly._chain is the one loop that applies a Laplacian repeatedly:
     # Poisson walks its whole input once, the slab solver the chains of f0,
-    # f1, u0 and u1, the diffeq solver those of p = dg/dt(0,y) and of its
-    # slab solve's four, and nothing else applies the kernel but _chain and
-    # the residual check's laplacian_y
+    # f1, u0 and u1, all four on one index, so that each monomial's targets
+    # are computed once per slab solve, and the diffeq solver those of
+    # p = dg/dt(0,y) and of its slab solve's four.  The term-by-term kernel
+    # _laplacian_y_num serves laplacian_y alone, and no index outlives the
+    # call that made it.
     package = [m for name, m in sys.modules.items() if name.partition(".")[0] == "slab_harmonics"]
-    walked, callers, poissons = [], [], []
+    walked, fills, callers, poissons = [], [], [], []
     chain, kernel, poisson = poly._chain, poly._laplacian_y_num, poisson_solve
+    fill = poly._MonomialIndex._fill
     assert [m for m in package if vars(m).get("_laplacian_y_num") is kernel] == [poly]
+
+    def counting_chain(num, index):
+        steps = chain(num, index)
+        walked.append((num, id(index), [set(step) for _, step in steps]))
+        return steps
+
     for module in package:
         if vars(module).get("_chain") is chain:
-            monkeypatch.setattr(module, "_chain", lambda num, skip=0: walked.append(num) or chain(num, skip))
+            monkeypatch.setattr(module, "_chain", counting_chain)
     bound = [m for m in package if vars(m).get("poisson_solve") is poisson]
     assert sys.modules["slab_harmonics.diffeq"] in bound
     for module in bound:
         monkeypatch.setattr(module, "poisson_solve", lambda f: poissons.append(f) or poisson(f))
 
-    def counting_kernel(num, skip=0):
+    def counting_kernel(num):
         callers.append(sys._getframe(1).f_code.co_name)
-        return kernel(num, skip)
+        return kernel(num)
+
+    def counting_fill(index, i):
+        fills.append((id(index), index.keys[i]))
+        return fill(index, i)
 
     monkeypatch.setattr(poly, "_laplacian_y_num", counting_kernel)
+    monkeypatch.setattr(poly._MonomialIndex, "_fill", counting_fill)
+
+    def live_indices():
+        gc.collect()
+        return [o for o in gc.get_objects() if type(o) is poly._MonomialIndex]
+
+    def walked_nums():
+        return [num for num, _, _ in walked]
 
     _, y1, y2 = variables(2)
     f = y1 ** 6 * y2 - (y1 * y2).scale(F(2, 3)) + MultiPoly.constant(2, 5) + y2 ** 4
     assert len({sum(e) for e in f.terms}) >= 3
     poisson_solve(f)
-    assert walked == [f.as_integer_ratio()[0]]
-    assert set(callers) == {"_chain", "laplacian_y"}
+    assert walked_nums() == [f.as_integer_ratio()[0]]
+    assert set(callers) == {"laplacian_y"}
 
     rng = random.Random(41)
     zero = MultiPoly.zero(2)
     for a, f0, f1 in ((F(-1, 2), f, y1 * y2), (F(0), f, zero), (F(1, 3), zero, zero)):
         walked.clear()
+        fills.clear()
         solve_slab(SlabProblem(a, F(2), 2, f0, f1))
         assert len(walked) == 4  # f0, f1, u0, u1
-        assert walked[:2] == [f0.as_integer_ratio()[0], f1.as_integer_ratio()[0]]
+        assert walked_nums()[:2] == [f0.as_integer_ratio()[0], f1.as_integer_ratio()[0]]
+        # one index, and each monomial any walk reached got its targets once
+        (index,) = {index for _, index, _ in walked}
+        reached = set().union(*(keys for _, _, steps in walked for keys in steps))
+        assert sorted(fills) == sorted((index, e) for e in reached)
+        assert not live_indices()
 
     callers.clear()
     for d in (1, 2, 3):
         g = random_harmonic_poly(rng, d, 9, max_terms=5)
+        walked.clear()
+        fills.clear()
         solve_slab(SlabProblem(F(1, 3), F(2), d, g.trace(0), g.trace(1)))
+        assert len({index for _, index, _ in walked}) == 1
+        assert len(fills) == len(set(fills))
         p = g.derivative(0).trace(0)
         assert not p.is_zero
         walked.clear()
@@ -598,9 +687,11 @@ def test_each_laplacian_chain_is_walked_once(monkeypatch):
         # K G reads the chain of p that the Poisson solve walked
         assert poissons == [p]
         assert len(walked) == 5  # p, then the slab solve's f0, f1, u0, u1
-        assert walked[0] == p.as_integer_ratio()[0]
+        assert walked_nums()[0] == p.as_integer_ratio()[0]
+        assert len({index for _, index, _ in walked[1:]}) == 1
         oracle_solve(g)
-    assert set(callers) == {"_chain", "laplacian_y"}
+        assert not live_indices()
+    assert set(callers) == {"laplacian_y"}
 
 
 def _fresh(p):
