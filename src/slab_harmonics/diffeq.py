@@ -46,13 +46,14 @@ class DiffEqProblem(Record):
         return cls(d=d, g=MultiPoly.from_json_dict(obj["g"]))
 
 
-def _potential(g: MultiPoly) -> MultiPoly:
-    """G with Lap_y G = dg/dt(0,y), which equals Lap_y(int_0^t g) + dg/dt
-    for harmonic g: that sum has t-derivative Lap g = 0.  The numerators of
-    dg/dt(0,y) are the t^1 numerators of g's grouping by y-monomial, which
-    the harmonicity check of g has built."""
-    p = {(0,) + rest: a[1] for rest, a in g._fibres().items() if len(a) > 1 and a[1]}
-    return poisson_solve(MultiPoly._reduced(g.d, p, g._den))
+def _potential(g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """(p, G) with p = dg/dt(0,y) and Lap_y G = p, which equals
+    Lap_y(int_0^t g) + dg/dt for harmonic g: that sum has t-derivative
+    Lap g = 0.  The numerators of p are the t^1 numerators of g's grouping
+    by y-monomial, which the harmonicity check of g has built."""
+    num = {(0,) + rest: a[1] for rest, a in g._fibres().items() if len(a) > 1 and a[1]}
+    p = MultiPoly._reduced(g.d, num, g._den)
+    return p, poisson_solve(p)
 
 
 def solve(prob: DiffEqProblem) -> MultiPoly:
@@ -61,14 +62,16 @@ def solve(prob: DiffEqProblem) -> MultiPoly:
     G = poisson_solve(dg/dt(0,y)) and K = D cot(D/2).
 
     K G = K_0 G + sum_(k>=1) K_k Lap_y^(k-1) p with p = dg/dt(0,y), since
-    Lap_y G = p exactly: G keeps its y-chain, G and then the chain of p
-    that the Poisson solve walked, so the K series walks no chain.  A solve
-    walks five chains: p's in the Poisson solve, then in the slab solve
-    those of its two wall data and of the two Cauchy data it extends."""
+    Lap_y G = p exactly, and K_0 = 2: u0 = -(f + k_rest)/2 - G, with k_rest
+    the sum over k >= 1, a series on p that reads the chain p kept from the
+    Poisson solve.  A solve walks five chains: p's in the Poisson solve,
+    then in the slab solve those of its two wall data and of the two Cauchy
+    data it extends."""
     f = prob.g.trace(0)
-    potential = _potential(prob.g)
-    (k_potential,) = _series(potential, [_cot_series(_length(potential))])
-    u0 = (f + k_potential).scale(Fraction(-1, 2))
+    p, potential = _potential(prob.g)
+    nums, den = _cot_series(_length(potential))
+    (k_rest,) = _series(p, [(nums[1:], den)])
+    u0 = (f + k_rest).scale(Fraction(-1, 2)) - potential
     return solve_slab(SlabProblem(Fraction(0), Fraction(1), prob.d, u0, u0 + f))
 
 
@@ -94,7 +97,7 @@ def harmonic_t_antiderivative(g: MultiPoly) -> MultiPoly:
     """Harmonic u = int_0^t g - G(y) with du/dt = g; even in t whenever g
     is odd."""
     _require_harmonic(g, "harmonic_t_antiderivative requires a harmonic input")
-    return g.integrate_t() - _potential(g)
+    return g.integrate_t() - _potential(g)[1]
 
 
 def solve_odd(g_odd: MultiPoly) -> MultiPoly:

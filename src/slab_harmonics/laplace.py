@@ -25,8 +25,7 @@ small numerators and divides none.  It walks on integer monomial ids
 (poly._MonomialIndex) that hold each monomial's Laplacian targets once
 computed; _series and the CK kernel take the index of their caller, so
 the four walks of a slab solve share one, and any other walk makes its
-own.  A Poisson solution G keeps its own chain, G and then its input's,
-so K G in diffeq walks no second chain.
+own.
 """
 
 from __future__ import annotations
@@ -62,9 +61,9 @@ def _series(
     """For each (nums, den) in `series`: the sum
     sum_k (nums[k] / den) Lap_y^k f for t-free f.  The chain Lap_y^k f is
     read once (f._y_chain, which walks poly._chain on the caller's index,
-    or on a new one, unless f kept its chain) over the numerators of f, for
-    all the series together; each caller gives at least _length(f)
-    coefficients, which cover the chain.  Its
+    or on a new one, the first time) over the numerators of f, for all the
+    series together; each caller gives at least _length(f) coefficients,
+    which cover the chain.  Its
     factors are integers, so each sum is one integer map over den times the
     denominator of f.  Each step is its content times primitive numerators.
     The gcd of that denominator with every coefficient times its step's
@@ -224,9 +223,7 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     step k.  With every c_k over one integer lcm, and times the content of
     step k, G = |y|^2 (A_0 + |y|^2 (A_1 + ...)), A_k the weighted primitive
     step k, is summed by Horner from the last step down into one integer
-    map over that lcm times the denominator of f, reduced once.  G keeps
-    its own y-chain, G followed by the chain of f, which the residual check
-    makes exact: a series in Lap_y on G walks no chain.
+    map over that lcm times the denominator of f, reduced once.
     """
     _require_t_free(f, "poisson_solve input")
     if f.is_zero:  # also spares building |y|^2 for a large d
@@ -263,5 +260,4 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     residual = result.laplacian_y() - f
     if not residual.is_zero:
         raise ArithmeticError(f"poisson_solve residual is nonzero: {residual}")
-    result._keep_y_chain(f, chain)
     return result

@@ -158,10 +158,12 @@ def _chain(num: Numerators, index: _MonomialIndex) -> list[tuple[int, Numerators
     running product of those gcds and content times step is L^k num.  The
     walk runs on the ids of the index, reads each monomial's targets there
     (filling them on its first visit), and gives each step keyed by tuple.
-    L strictly lowers degree, so the chain ends, and it is empty for
-    num = {}."""
+    L lowers the degree by 2, so a chain has at most top // 2 + 1 steps,
+    top the largest total degree of num; a walk that would go past that
+    raises ArithmeticError.  The chain is empty for num = {}."""
     if not num:
         return []
+    limit = max(map(sum, num)) // 2 + 1
     ids, keys, targets = index.ids, index.keys, index.targets
     content, step = _primitive(num)
     steps = [(content, step)]
@@ -180,6 +182,8 @@ def _chain(num: Numerators, index: _MonomialIndex) -> list[tuple[int, Numerators
         g = math.gcd(*out.values())
         if not g:
             return steps
+        if len(steps) == limit:
+            raise ArithmeticError(f"a Laplacian chain ran past its bound of {limit} steps")
         content *= g
         cur = {j: v // g for j, v in out.items() if v}
         steps.append((content, dict(zip(map(keys.__getitem__, cur), cur.values()))))
@@ -239,12 +243,10 @@ def _t_fibres(num: Numerators) -> dict[tuple[int, ...], list[int]]:
 class MultiPoly:
     """Immutable sparse multivariate polynomial over the rationals."""
 
-    # _lap holds the Laplacian once laplacian() has computed it, and _fib
-    # the grouping by y-monomial (_t_fibres) once a method has used it.
-    # _ych holds the y-Laplacian chain (_chain) of a polynomial that
-    # laplace.poisson_solve returned, read off its input's chain.  Each slot
-    # stays empty until then, so building a polynomial writes nothing to
-    # them.
+    # A polynomial keeps what its methods derive, each on first use: _lap
+    # the Laplacian, _fib the grouping by y-monomial (_t_fibres) and _ych
+    # the y-Laplacian chain (_chain).  No other module writes them, and
+    # building a polynomial writes nothing to them.
     __slots__ = ("d", "_num", "_den", "_lap", "_fib", "_ych")
 
     def __init__(self, d: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
@@ -560,23 +562,15 @@ class MultiPoly:
             return fibres
 
     def _y_chain(self, index: _MonomialIndex | None = None) -> list[tuple[int, Numerators]]:
-        """_chain(numerators), the chain of the y-Laplacian: kept, if this
-        polynomial came from laplace.poisson_solve, else walked afresh on
-        the caller's index of skip 0, or on a new one."""
+        """_chain(numerators), the chain of the y-Laplacian, walked on the
+        first call (on the caller's index of skip 0, or on a new one) and
+        kept; callers must not change its steps."""
         try:
             return self._ych
         except AttributeError:
-            return _chain(self._num, _MonomialIndex() if index is None else index)
-
-    def _keep_y_chain(self, lap_y: "MultiPoly", chain: list[tuple[int, Numerators]]) -> None:
-        """Keep the y-chain of a nonzero self with Lap_y self == lap_y
-        exactly, given chain = lap_y._y_chain(): self's primitive first step,
-        then lap_y's steps, each content times den / lap_y's den.  That is
-        the chain _chain(numerators) would walk, since the y-Laplacian of the
-        numerators is that multiple of lap_y's."""
-        scale = self._den // lap_y._den
-        steps = [_primitive(self._num)] + [(scale * c, step) for c, step in chain]
-        object.__setattr__(self, "_ych", steps)
+            chain = _chain(self._num, _MonomialIndex() if index is None else index)
+            object.__setattr__(self, "_ych", chain)
+            return chain
 
     # -- evaluation ----------------------------------------------------------
 

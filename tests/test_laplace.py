@@ -241,21 +241,35 @@ def test_poisson_solve_is_the_power_table_sum_on_dense_data():
         assert poisson_solve(f).as_integer_ratio() == _poisson_power_table(f).as_integer_ratio()
 
 
-def test_poisson_solution_keeps_the_chain_a_walk_gives():
-    # Lap_y G = p exactly, so G's y-chain is G and then p's chain, and
-    # K G = K_0 G + sum_(k>=1) K_k Lap_y^(k-1) p, bit for bit
+def test_a_polynomial_keeps_the_y_chain_a_walk_gives(monkeypatch):
+    # a polynomial walks its y-chain on first use and keeps it; poisson_solve
+    # walks the chain of its input p and sets none on its result G.  Lap_y G
+    # = p exactly, so K G = K_0 G + sum_(k>=1) K_k Lap_y^(k-1) p, bit for bit
+    walks = []
+    monkeypatch.setattr(
+        "slab_harmonics.poly._chain", lambda num, index: walks.append(num) or _chain(num, index)
+    )
     rng = random.Random(37)
     for d in (1, 2, 3, 4):
         for _ in range(6):
             p = random_tfree_poly(rng, d, (20, 12, 8, 6)[d - 1], max_terms=6)
             if p.is_zero:
                 continue
+            walks.clear()
             g = poisson_solve(p)
-            assert g._y_chain() == _chain(g.as_integer_ratio()[0], _MonomialIndex())
+            assert walks == [p.as_integer_ratio()[0]]
+            assert hasattr(p, "_ych") and not hasattr(g, "_ych")
             nums, den = _cot_series(_length(g))
-            (kg,) = _series(g, [(nums, den)])
             (kp,) = _series(p, [(nums[1:], den)])
+            (kg,) = _series(g, [(nums, den)])
+            assert len(walks) == 2  # p's chain is kept, G's walked
             assert kg.as_integer_ratio() == (g.scale(F(nums[0], den)) + kp).as_integer_ratio()
-            # a copy of G, which keeps no chain, walks its own to the same bits
-            (walked,) = _series(MultiPoly(d, g.terms), [(nums, den)])
+            # a second series on G walks nothing
+            (again,) = _series(g, [(nums, den)])
+            assert len(walks) == 2 and again.as_integer_ratio() == kg.as_integer_ratio()
+            assert g._y_chain() == _chain(g.as_integer_ratio()[0], _MonomialIndex())
+            # a copy of G, which keeps no chain, walks its own to the same steps
+            copy = MultiPoly(d, g.terms)
+            (walked,) = _series(copy, [(nums, den)])
+            assert len(walks) == 3 and copy._y_chain() == g._y_chain()
             assert walked.as_integer_ratio() == kg.as_integer_ratio()

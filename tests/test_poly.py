@@ -606,13 +606,14 @@ def test_chain_steps_are_primitive_and_scale_to_the_laplacian_powers(case):
 
 
 def test_each_laplacian_chain_is_walked_once(monkeypatch):
-    # poly._chain is the one loop that applies a Laplacian repeatedly:
-    # Poisson walks its whole input once, the slab solver the chains of f0,
-    # f1, u0 and u1, all four on one index, so that each monomial's targets
-    # are computed once per slab solve, and the diffeq solver those of
-    # p = dg/dt(0,y) and of its slab solve's four.  The term-by-term kernel
-    # _laplacian_y_num serves laplacian_y alone, and no index outlives the
-    # call that made it.
+    # poly._chain is the one loop that applies a Laplacian repeatedly, and a
+    # polynomial keeps the y-chain it walks: Poisson walks its whole input
+    # once, the slab solver the chains of f0, f1, u0 and u1 (not f0's again
+    # if f0 was walked before), all on one index, so that each monomial's
+    # targets are computed once per slab solve, and the diffeq solver those
+    # of p = dg/dt(0,y) and of its slab solve's four.  The term-by-term
+    # kernel _laplacian_y_num serves laplacian_y alone, and no index
+    # outlives the call that made it.
     package = [m for name, m in sys.modules.items() if name.partition(".")[0] == "slab_harmonics"]
     walked, fills, callers, poissons = [], [], [], []
     chain, kernel, poisson = poly._chain, poly._laplacian_y_num, poisson_solve
@@ -658,13 +659,18 @@ def test_each_laplacian_chain_is_walked_once(monkeypatch):
     assert set(callers) == {"laplacian_y"}
 
     rng = random.Random(41)
-    zero = MultiPoly.zero(2)
-    for a, f0, f1 in ((F(-1, 2), f, y1 * y2), (F(0), f, zero), (F(1, 3), zero, zero)):
+    for a, f0, f1, fresh in (
+        (F(-1, 2), _fresh(f), y1 * y2, 2),
+        (F(0), _fresh(f), MultiPoly.zero(2), 2),
+        (F(1, 3), MultiPoly.zero(2), MultiPoly.zero(2), 2),
+        (F(1, 3), f, y2 ** 3, 1),  # the Poisson solve above walked f
+    ):
         walked.clear()
         fills.clear()
         solve_slab(SlabProblem(a, F(2), 2, f0, f1))
-        assert len(walked) == 4  # f0, f1, u0, u1
-        assert walked_nums()[:2] == [f0.as_integer_ratio()[0], f1.as_integer_ratio()[0]]
+        assert len(walked) == fresh + 2  # f0 and f1 when fresh, then u0, u1
+        data = [f0.as_integer_ratio()[0], f1.as_integer_ratio()[0]]
+        assert walked_nums()[:fresh] == data[2 - fresh :]
         # one index, and each monomial any walk reached got its targets once
         (index,) = {index for _, index, _ in walked}
         reached = set().union(*(keys for _, _, steps in walked for keys in steps))
@@ -694,8 +700,17 @@ def test_each_laplacian_chain_is_walked_once(monkeypatch):
     assert set(callers) == {"laplacian_y"}
 
 
+def test_a_chain_walk_that_does_not_end_raises(monkeypatch):
+    # a kernel that maps each monomial to itself never lowers the degree: the
+    # walk stops at top // 2 + 1 steps instead of running on
+    monkeypatch.setattr(poly._MonomialIndex, "_fill", lambda index, i: [(i, 1)])
+    num = MultiPoly(2, {(0, 3, 2): 1, (0, 1, 0): 2}).as_integer_ratio()[0]
+    with pytest.raises(ArithmeticError, match="3 steps"):
+        poly._chain(num, poly._MonomialIndex())
+
+
 def _fresh(p):
-    """A copy of p that keeps nothing yet: no Laplacian and no grouping."""
+    """A copy of p that keeps nothing yet: no Laplacian, grouping or y-chain."""
     return MultiPoly(p.d, p.terms)
 
 
