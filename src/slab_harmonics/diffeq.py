@@ -70,7 +70,7 @@ def solve(prob: DiffEqProblem) -> MultiPoly:
     f = prob.g.trace(0)
     p, potential = _potential(prob.g)
     nums, den = _cot_series(_length(potential))
-    (k_rest,) = _series(p, [(nums[1:], den)])
+    k_rest = _series(p, (nums[1:], den))
     u0 = (f + k_rest).scale(Fraction(-1, 2)) - potential
     return solve_slab(SlabProblem(Fraction(0), Fraction(1), prob.d, u0, u0 + f))
 

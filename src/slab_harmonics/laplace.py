@@ -11,12 +11,14 @@ Lap_y, written with D = sqrt(Lap_y):
                         solution of h(t+1,y) - h(t,y) = g (see diffeq)
 
 The series are finite on polynomials because Lap_y strictly lowers degree.
-The inverse is (1/c) times the series of x/sin(x) in u = x^2 = c^2 Lap_y,
-whose coefficients come from the tangent numbers (DLMF 4.19); K is read off
-the same table.  The two extensions are one walk of poly's CK kernel
-(cauchy_extension).  One kernel, _series, applies the other three, each given
-as its list of rational coefficients, and several lists in one walk of
-Lap_y^k f; a product of two operators is the Cauchy product of their lists.
+The inverse is (1/c) times the series of x/sin(x) in u = x^2 = c^2 Lap_y
+(DLMF 4.19), and K and x/sin(x) are both read off one table of Bernoulli
+numbers B_2k, built from the tangent numbers.  A table meets the height c
+of a wall or a trace only in _height_series.  The two extensions are one
+walk of poly's CK kernel (cauchy_extension).  One kernel, _series, applies
+any other series, given as its rational coefficients, to f; the chain
+Lap_y^k f that it reads is kept by f, so several series on one f walk it
+once.  A product of two operators is the Cauchy product of their lists.
 The Poisson solver sums the radial |y|^2 ansatz of every homogeneous
 component by Horner in |y|^2 over one walk of the chain of its input.  Every
 walk of a chain Lap_y^k f is poly._chain, which keeps each step as its
@@ -32,9 +34,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from operator import add
+from fractions import Fraction
 
-from .poly import MultiPoly, Scalar, _cauchy_extension, _frac, _MonomialIndex
+from .poly import MultiPoly, Scalar, _cauchy_extension, _frac, _MonomialIndex, _product_num
 
 
 def _require_t_free(p: MultiPoly, what: str) -> None:
@@ -47,46 +49,31 @@ def _require_t_free(p: MultiPoly, what: str) -> None:
 Series = tuple[list[int], int]
 
 
-def _over_lcm(coeffs: Sequence[tuple[int, int]]) -> Series:
-    """The series with rational coefficients p_k / q_k, given as pairs
-    (p_k, q_k) with q_k > 0, over lcm(q_k); this is the only place a series
-    denominator is chosen."""
-    den = math.lcm(*(q for _, q in coeffs))
-    return [p * (den // q) for p, q in coeffs], den
-
-
-def _series(
-    f: MultiPoly, series: Sequence[Series], index: _MonomialIndex | None = None
-) -> list[MultiPoly]:
-    """For each (nums, den) in `series`: the sum
-    sum_k (nums[k] / den) Lap_y^k f for t-free f.  The chain Lap_y^k f is
-    read once (f._y_chain, which walks poly._chain on the caller's index,
-    or on a new one, the first time) over the numerators of f, for all the
-    series together; each caller gives at least _length(f) coefficients,
-    which cover the chain.  Its
-    factors are integers, so each sum is one integer map over den times the
-    denominator of f.  Each step is its content times primitive numerators.
-    The gcd of that denominator with every coefficient times its step's
-    content is divided out of the scalars before the products are formed,
-    so a denominator full of factorials is never multiplied in and scanned
-    out term by term, and each term is one product of a scalar and a
-    primitive numerator."""
-    chain = f._y_chain(index)
-    results = []
-    for nums, den in series:
-        den *= f._den
-        steps = list(zip(nums, chain))
-        common = math.gcd(den, *(c * content for c, (content, _) in steps))
-        out: dict[tuple[int, ...], int] = {}
-        for c, (content, term) in steps:
-            if not c:
-                continue
-            m = c * content // common
-            for exps, v in term.items():
-                out[exps] = out.get(exps, 0) + m * v
-        out = {e: v for e, v in out.items() if v}
-        results.append(MultiPoly._reduced(f.d, out, den // common))
-    return results
+def _series(f: MultiPoly, series: Series, index: _MonomialIndex | None = None) -> MultiPoly:
+    """The sum sum_k (nums[k] / den) Lap_y^k f of the series (nums, den)
+    on t-free f.  The chain Lap_y^k f is f._y_chain, which walks poly._chain
+    on the caller's index, or on a new one, the first time and keeps it, so
+    several series on one f walk it once; each caller gives at least
+    _length(f) coefficients, which cover the chain.  Its factors are
+    integers, so the sum is one integer map over den times the denominator
+    of f.  Each step is its content times primitive numerators.  The gcd of
+    that denominator with every coefficient times its step's content is
+    divided out of the scalars before the products are formed, so a
+    denominator full of factorials is never multiplied in and scanned out
+    term by term, and each term is one product of a scalar and a primitive
+    numerator."""
+    nums, den = series
+    den *= f._den
+    steps = list(zip(nums, f._y_chain(index)))
+    common = math.gcd(den, *(c * content for c, (content, _) in steps))
+    out: dict[tuple[int, ...], int] = {}
+    for c, (content, term) in steps:
+        if not c:
+            continue
+        m = c * content // common
+        for exps, v in term.items():
+            out[exps] = out.get(exps, 0) + m * v
+    return MultiPoly._reduced(f.d, {e: v for e, v in out.items() if v}, den // common)
 
 
 def _length(f: MultiPoly) -> int:
@@ -94,24 +81,45 @@ def _length(f: MultiPoly) -> int:
     return max(f.total_degree(), 0) // 2 + 1
 
 
-def _wall_series(x: Scalar, n: int, first: int) -> Series:
+def _height_series(table: Sequence[tuple[int, int]], c: Fraction | int, first: int) -> Series:
+    """The series sum_k (p_k / q_k) c^(2k + first) Lap_y^k from the pairs
+    (p_k, q_k), q_k > 0, of a table, first being -1, 0 or 1: each term
+    reduced, over the lcm of their denominators.  With c = u/v,
+    c^2 = u^2/v^2 and c^(-1) = sign(u) v/|u|.  This is the only place a
+    coefficient table meets a height, and the only place a series
+    denominator is chosen."""
+    u, v = c.numerator, c.denominator
+    # c^first as top / bottom with bottom > 0, for first = 0, 1 and -1
+    top, bottom = ((1, 1), (u, v), (v, u) if u > 0 else (-v, -u))[first]
+    u2, v2 = u * u, v * v
+    nums, dens = [], []
+    for p, q in table:
+        p *= top
+        q *= bottom
+        g = math.gcd(p, q)
+        nums.append(p // g)
+        dens.append(q // g)
+        top *= u2
+        bottom *= v2
+    den = math.lcm(*dens)
+    return [p * (den // q) for p, q in zip(nums, dens)], den
+
+
+def _wall_series(x: Fraction | int, n: int, first: int) -> Series:
     """The first n terms of C_x = cos(x D) (first = 0) or of
     S_x = sin(x D)/D (first = 1) in powers of Lap_y:
     (-1)^k x^(2k + first) / (2k + first)!."""
-    x = _frac(x)
-    u, v = x.numerator, x.denominator
-    return _over_lcm([
-        ((-1) ** k * u ** (2 * k + first), math.factorial(2 * k + first) * v ** (2 * k + first))
-        for k in range(n)
-    ])
+    return _height_series(
+        [((-1) ** k, math.factorial(2 * k + first)) for k in range(n)], x, first
+    )
 
 
-def _x_over_sin_x(n: int) -> list[tuple[int, int]]:
-    """The first n coefficients A_k of x/sin(x) in powers of x^2, as
-    reduced pairs.  For k >= 1, A_k = (4^k - 2) 2k T_k / ((2k)! 4^k (4^k - 1))
-    (DLMF 4.19) with T_k the tangent numbers 1, 2, 16, 272, ..., computed in
-    place as Brent and Harvey (2011) do after Knuth and Buckholtz (1967):
-    every step multiplies an integer by a small one."""
+def _even_bernoulli(n: int) -> list[tuple[int, int]]:
+    """The Bernoulli numbers B_0, B_2, ..., B_(2n-2) as pairs (p, q), q > 0.
+    For k >= 1, B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) (DLMF 24.15) with
+    T_k the tangent numbers 1, 2, 16, 272, ..., computed in place as Brent
+    and Harvey (2011) do after Knuth and Buckholtz (1967): every step
+    multiplies an integer by a small one."""
     tan = [0] * n  # tan[k] = T_k for 1 <= k < n
     if n > 1:
         tan[1] = 1
@@ -120,41 +128,34 @@ def _x_over_sin_x(n: int) -> list[tuple[int, int]]:
     for k in range(2, n):
         for j in range(k, n):
             tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
-    table = [(1, 1)]
+    table, sign = [(1, 1)], 1
     for k in range(1, n):
-        p = (4**k - 2) * 2 * k * tan[k]
-        q = math.factorial(2 * k) * 4**k * (4**k - 1)
-        g = math.gcd(p, q)
-        table.append((p // g, q // g))
+        table.append((sign * 2 * k * tan[k], 4**k * (4**k - 1)))
+        sign = -sign
     return table
 
 
 def _inverse_trace_series(c: Scalar, n: int) -> Series:
     """The first n terms of L_c^(-1) = D / sin(c D) in powers of Lap_y:
-    A_k c^(2k-1), from the x/sin(x) table.  With c = u/v that is
-    sign(u) A_k u^(2k) v / (|u| v^(2k))."""
+    A_k c^(2k-1), where A_k = (-1)^(k+1) (4^k - 2) B_2k / (2k)! is the
+    coefficient of x^(2k) in x/sin(x) (DLMF 4.19), and A_0 = 1."""
     c = _frac(c)
-    if c == 0:
+    if not c:
         raise ValueError("trace operator height c must be nonzero")
-    u, v = c.numerator, c.denominator
-    sign = 1 if u > 0 else -1
-    return _over_lcm([
-        (sign * p * u ** (2 * k) * v, q * abs(u) * v ** (2 * k))
-        for k, (p, q) in enumerate(_x_over_sin_x(n))
-    ])
+    return _height_series([
+        ((-1) ** (k + 1) * (4**k - 2) * p, q * math.factorial(2 * k))
+        for k, (p, q) in enumerate(_even_bernoulli(n))
+    ], c, -1)
 
 
 def _cot_series(n: int) -> Series:
     """The first n terms of K = D cot(D/2) in powers of Lap_y:
-    K_k = 2 (-1)^k B_2k / (2k)!, which is -2 A_k / (4^k - 2) with A_k from
-    the x/sin(x) table, and K_0 = 2.  It is the series with
+    K_k = 2 (-1)^k B_2k / (2k)!, so K_0 = 2.  It is the series with
     S_1 K = 1 + C_1, since sin(x) cot(x/2) = 1 + cos(x)."""
-    coeffs = [(2, 1)]
-    for k, (p, q) in enumerate(_x_over_sin_x(n)[1:], 1):
-        m = 2 ** (2 * k - 1) - 1  # (4^k - 2) / 2
-        g = math.gcd(p, m)
-        coeffs.append((-p // g, q * (m // g)))
-    return _over_lcm(coeffs)
+    return _height_series([
+        (2 * (-1) ** k * p, q * math.factorial(2 * k))
+        for k, (p, q) in enumerate(_even_bernoulli(n))
+    ], 1, 0)
 
 
 def _series_product(x: Series, y: Series, n: int) -> Series:
@@ -193,7 +194,7 @@ def trace_operator(c: Scalar, g: MultiPoly) -> MultiPoly:
     Equals sum_k (-1)^k c^(2k+1) Lap_y^k g / (2k+1)!.
     """
     _require_t_free(g, "trace_operator input")
-    return _series(g, [_wall_series(c, _length(g), 1)])[0]
+    return _series(g, _wall_series(_frac(c), _length(g), 1))
 
 
 def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:
@@ -201,10 +202,10 @@ def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:
 
     L_c = c S(c^2 Lap_y) with S(u) the series of sin(x)/x in u = x^2, so
     g = (1/c) A(c^2 Lap_y) p with A = 1/S, the series of x/sin(x), whose
-    coefficients come from the tangent numbers (_x_over_sin_x).
+    coefficients come from the Bernoulli numbers (_even_bernoulli).
     """
     _require_t_free(p, "invert_trace_operator input")
-    return _series(p, [_inverse_trace_series(c, _length(p))])[0]
+    return _series(p, _inverse_trace_series(c, _length(p)))
 
 
 def poisson_solve(f: MultiPoly) -> MultiPoly:
@@ -243,19 +244,13 @@ def poisson_solve(f: MultiPoly) -> MultiPoly:
     lcm = math.lcm(*(q for q_j in qs for q in q_j.values()))
 
     num: dict[tuple[int, ...], int] = {}
-    r2_items = r2._num.items()
     for k in range(len(chain) - 1, -1, -1):  # num <- |y|^2 (A_k + num)
         content, step = chain[k]
         c = {j: (-1) ** k * content * (lcm // q) for j, q in qs[k].items()}
         for e, v in step.items():
             num[e] = num.get(e, 0) + c[sum(e)] * v
-        product: dict[tuple[int, ...], int] = {}
-        for ea, va in num.items():
-            for eb, vb in r2_items:
-                e = tuple(map(add, ea, eb))
-                product[e] = product.get(e, 0) + va * vb
-        num = product
-    result = MultiPoly._reduced(d, {e: v for e, v in num.items() if v}, lcm * f._den)
+        num = _product_num(num, r2._num)
+    result = MultiPoly._reduced(d, num, lcm * f._den)
 
     residual = result.laplacian_y() - f
     if not residual.is_zero:

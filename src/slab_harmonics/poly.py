@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain, repeat
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 Scalar = Fraction | int | str
 
@@ -108,6 +108,18 @@ def _laplacian_y_num(num: Numerators) -> Numerators:
             if n > 1:
                 e = exps[:var] + (n - 2,) + exps[var + 1 :]
                 out[e] = out.get(e, 0) + a * (n * (n - 1))
+    return {e: v for e, v in out.items() if v}
+
+
+def _product_num(a: Numerators, b: Numerators) -> Numerators:
+    """The product of two numerator maps, term by term; cancelled terms are
+    dropped."""
+    out: Numerators = {}
+    b_items = b.items()
+    for ea, va in a.items():
+        for eb, vb in b_items:
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + va * vb
     return {e: v for e, v in out.items() if v}
 
 
@@ -372,14 +384,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_space(other)
-        out: Numerators = {}
-        for ea, va in self._num.items():
-            for eb, vb in other._num.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                out[exps] = out.get(exps, 0) + va * vb
-        return MultiPoly._reduced(
-            self.d, {e: v for e, v in out.items() if v}, self._den * other._den
-        )
+        num = _product_num(self._num, other._num)
+        return MultiPoly._reduced(self.d, num, self._den * other._den)
 
     def scale(self, c: Scalar) -> "MultiPoly":
         c = _frac(c)

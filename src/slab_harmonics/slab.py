@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping
+from fractions import Fraction
 
 from .laplace import (
     _inverse_trace_series,
@@ -79,25 +80,24 @@ def solve_slab(prob: SlabProblem) -> MultiPoly:
 
     and h = C_t u0 + S_t u1 is cauchy_extension(u0, u1).  Each composite
     series, such as S_b L^(-1), is a Cauchy product cut at the length of the
-    data it acts on, and each datum's Laplacian chain is walked once for both
-    of its series.  The walks of f0, f1, u0 and u1 share one monomial index,
-    so each monomial's Laplacian targets are computed once per solve: the
-    monomials of u0 and u1 lie in the chains of f0 and f1.  A zero datum has
-    an empty chain, and the series S_0 = 0 has zero coefficients, so both
-    give zero parts without a test.
+    data it acts on, applied by one _series call; a datum keeps its
+    Laplacian chain, so it is walked once for both of its series.  The
+    walks of f0, f1, u0 and u1 share one monomial index, so each monomial's
+    Laplacian targets are computed once per solve: the monomials of u0 and
+    u1 lie in the chains of f0 and f1.  A zero datum has an empty chain,
+    and the series S_0 = 0 has zero coefficients, so both give zero parts
+    without a test.
     """
     inverse = _inverse_trace_series(prob.b - prob.a, max(_length(prob.f0), _length(prob.f1)))
     index = _MonomialIndex()
-    u0 = u1 = MultiPoly.zero(prob.d)
-    # f0 enters u0 through S_b and u1 through -C_b; f1 through -S_a and C_a
-    for f, wall, sign in ((prob.f0, prob.b, 1), (prob.f1, prob.a, -1)):
+
+    def part(f: MultiPoly, wall: Fraction, first: int) -> MultiPoly:
+        # C_wall L^(-1) f (first = 0) or S_wall L^(-1) f (first = 1)
         n = _length(f)
-        walls = ((-sign, _wall_series(wall, n, 0)), (sign, _wall_series(wall, n, 1)))
-        c_part, s_part = _series(f, [
-            _series_product(([s * v for v in nums], den), inverse, n) for s, (nums, den) in walls
-        ], index)
-        u1 += c_part
-        u0 += s_part
+        return _series(f, _series_product(_wall_series(wall, n, first), inverse, n), index)
+
+    u0 = part(prob.f0, prob.b, 1) - part(prob.f1, prob.a, 1)
+    u1 = part(prob.f1, prob.a, 0) - part(prob.f0, prob.b, 0)
     return _cauchy_extension(u0, u1, 0, index)
 
 

@@ -20,7 +20,14 @@ from slab_harmonics import (
     trace_operator,
     variables,
 )
-from slab_harmonics.laplace import _cot_series, _length, _series, _series_product, _wall_series
+from slab_harmonics.laplace import (
+    _cot_series,
+    _even_bernoulli,
+    _length,
+    _series,
+    _series_product,
+    _wall_series,
+)
 from slab_harmonics.poly import _chain, _MonomialIndex
 from slab_harmonics.randgen import random_harmonic_poly, random_tfree_poly
 
@@ -156,6 +163,23 @@ def test_cot_series_is_the_bernoulli_series():
         assert F(nums[k], den) == 2 * (-1) ** k * b_2k / math.factorial(2 * k), k
 
 
+def test_bernoulli_table_meets_von_staudt_clausen():
+    # B_2k for 2k <= 400, the length of the chain of y^800, where no golden
+    # reaches: B_2k + sum_((p-1) | 2k) 1/p is an integer (von Staudt-Clausen),
+    # so the denominator of B_2k is the product of those primes p; and B_2k
+    # has the sign (-1)^(k-1)
+    n = 201
+    bern = [F(p, q) for p, q in _even_bernoulli(n)]
+    assert len(bern) == n and bern[:4] == [1, F(1, 6), F(-1, 30), F(1, 42)]
+    assert bern[6] == F(-691, 2730)
+    primes = [p for p in range(2, 2 * n) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for k, b in enumerate(bern[1:], 1):
+        ps = [p for p in primes if (2 * k) % (p - 1) == 0]
+        assert b.denominator == math.prod(ps), k
+        assert (b + sum(F(1, p) for p in ps)).denominator == 1, k
+        assert (b > 0) == (k % 2 == 1), k
+
+
 def test_cot_series_times_s1_is_one_plus_c1():
     # sin(x)/x * x cot(x/2) = 1 + cos(x), cut at n terms
     n = 60
@@ -260,16 +284,16 @@ def test_a_polynomial_keeps_the_y_chain_a_walk_gives(monkeypatch):
             assert walks == [p.as_integer_ratio()[0]]
             assert hasattr(p, "_ych") and not hasattr(g, "_ych")
             nums, den = _cot_series(_length(g))
-            (kp,) = _series(p, [(nums[1:], den)])
-            (kg,) = _series(g, [(nums, den)])
+            kp = _series(p, (nums[1:], den))
+            kg = _series(g, (nums, den))
             assert len(walks) == 2  # p's chain is kept, G's walked
             assert kg.as_integer_ratio() == (g.scale(F(nums[0], den)) + kp).as_integer_ratio()
             # a second series on G walks nothing
-            (again,) = _series(g, [(nums, den)])
+            again = _series(g, (nums, den))
             assert len(walks) == 2 and again.as_integer_ratio() == kg.as_integer_ratio()
             assert g._y_chain() == _chain(g.as_integer_ratio()[0], _MonomialIndex())
             # a copy of G, which keeps no chain, walks its own to the same steps
             copy = MultiPoly(d, g.terms)
-            (walked,) = _series(copy, [(nums, den)])
+            walked = _series(copy, (nums, den))
             assert len(walks) == 3 and copy._y_chain() == g._y_chain()
             assert walked.as_integer_ratio() == kg.as_integer_ratio()
