@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from operator import mul
 
-from .laplace import _cot_series, _length, _series, poisson_solve
+from .laplace import _cot_series, _series, poisson_solve
 from .poly import MultiPoly, _json_dim, _require_harmonic
 from .report import Record, VerificationReport
 from .slab import SlabProblem, solve_slab
@@ -64,12 +64,13 @@ def solve(prob: DiffEqProblem) -> MultiPoly:
     K G = K_0 G + sum_(k>=1) K_k Lap_y^(k-1) p with p = dg/dt(0,y), since
     Lap_y G = p exactly, and K_0 = 2: u0 = -(f + k_rest)/2 - G, with k_rest
     the sum over k >= 1, a series on p that reads the chain p kept from the
-    Poisson solve.  A solve walks five chains: p's in the Poisson solve,
-    then in the slab solve those of its two wall data and of the two Cauchy
-    data it extends."""
+    Poisson solve; K is cut at that chain's length plus one, for K_0.  A
+    solve walks five chains: p's in the Poisson solve, then in the slab
+    solve those of its two wall data and of the two Cauchy data it
+    extends."""
     f = prob.g.trace(0)
     p, potential = _potential(prob.g)
-    nums, den = _cot_series(_length(potential))
+    nums, den = _cot_series(len(p._y_chain()) + 1)
     k_rest = _series(p, (nums[1:], den))
     u0 = (f + k_rest).scale(Fraction(-1, 2)) - potential
     return solve_slab(SlabProblem(Fraction(0), Fraction(1), prob.d, u0, u0 + f))

@@ -23,11 +23,11 @@ The Poisson solver sums the radial |y|^2 ansatz of every homogeneous
 component by Horner in |y|^2 over one walk of the chain of its input.  Every
 walk of a chain Lap_y^k f is poly._chain, which keeps each step as its
 content and primitive numerators, so a series multiplies scalars into
-small numerators and divides none.  It walks on integer monomial ids
-(poly._MonomialIndex) that hold each monomial's Laplacian targets once
-computed; _series and the CK kernel take the index of their caller, so
-the four walks of a slab solve share one, and any other walk makes its
-own.
+small numerators and divides none.  A series is sized by the chain it
+meets: Lap_y lowers degree, so the chain's length is where the series
+stops.  _series reads whatever chain f keeps; a caller that shares a
+monomial index among its walks (the slab solve) walks the chain on it
+first.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .poly import MultiPoly, Scalar, _cauchy_extension, _frac, _MonomialIndex, _product_num
+from .poly import MultiPoly, Scalar, _cauchy_extension, _frac, _product_num
 
 
 def _require_t_free(p: MultiPoly, what: str) -> None:
@@ -49,12 +49,11 @@ def _require_t_free(p: MultiPoly, what: str) -> None:
 Series = tuple[list[int], int]
 
 
-def _series(f: MultiPoly, series: Series, index: _MonomialIndex | None = None) -> MultiPoly:
+def _series(f: MultiPoly, series: Series) -> MultiPoly:
     """The sum sum_k (nums[k] / den) Lap_y^k f of the series (nums, den)
-    on t-free f.  The chain Lap_y^k f is f._y_chain, which walks poly._chain
-    on the caller's index, or on a new one, the first time and keeps it, so
-    several series on one f walk it once; each caller gives at least
-    _length(f) coefficients, which cover the chain.  Its factors are
+    on t-free f.  The chain Lap_y^k f is the one f keeps (f._y_chain), so
+    several series on one f walk it once; each caller gives as many
+    coefficients as the chain has steps.  Its factors are
     integers, so the sum is one integer map over den times the denominator
     of f.  Each step is its content times primitive numerators.  The gcd of
     that denominator with every coefficient times its step's content is
@@ -64,7 +63,7 @@ def _series(f: MultiPoly, series: Series, index: _MonomialIndex | None = None) -
     numerator."""
     nums, den = series
     den *= f._den
-    steps = list(zip(nums, f._y_chain(index)))
+    steps = list(zip(nums, f._y_chain()))
     common = math.gcd(den, *(c * content for c, (content, _) in steps))
     out: dict[tuple[int, ...], int] = {}
     for c, (content, term) in steps:
@@ -74,11 +73,6 @@ def _series(f: MultiPoly, series: Series, index: _MonomialIndex | None = None) -
         for exps, v in term.items():
             out[exps] = out.get(exps, 0) + m * v
     return MultiPoly._reduced(f.d, {e: v for e, v in out.items() if v}, den // common)
-
-
-def _length(f: MultiPoly) -> int:
-    """Number of Lap_y powers of f that can be nonzero (1 for zero f)."""
-    return max(f.total_degree(), 0) // 2 + 1
 
 
 def _height_series(table: Sequence[tuple[int, int]], c: Fraction | int, first: int) -> Series:
@@ -158,12 +152,13 @@ def _cot_series(n: int) -> Series:
     ], 1, 0)
 
 
-def _series_product(x: Series, y: Series, n: int) -> Series:
-    """The first n terms of the product of two series: the Cauchy product
+def _series_product(x: Series, y: Series) -> Series:
+    """The product of two series cut at the length of x: the Cauchy product
     of their numerators, over the product of their denominators."""
     (xs, x_den), (ys, y_den) = x, y
+    n = len(xs)
     out = [0] * n
-    for i, a in enumerate(xs[:n]):
+    for i, a in enumerate(xs):
         if a:
             for j, b in enumerate(ys[: n - i]):
                 out[i + j] += a * b
@@ -194,7 +189,7 @@ def trace_operator(c: Scalar, g: MultiPoly) -> MultiPoly:
     Equals sum_k (-1)^k c^(2k+1) Lap_y^k g / (2k+1)!.
     """
     _require_t_free(g, "trace_operator input")
-    return _series(g, _wall_series(_frac(c), _length(g), 1))
+    return _series(g, _wall_series(_frac(c), len(g._y_chain()), 1))
 
 
 def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:
@@ -205,7 +200,7 @@ def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:
     coefficients come from the Bernoulli numbers (_even_bernoulli).
     """
     _require_t_free(p, "invert_trace_operator input")
-    return _series(p, _inverse_trace_series(c, _length(p)))
+    return _series(p, _inverse_trace_series(c, len(p._y_chain())))
 
 
 def poisson_solve(f: MultiPoly) -> MultiPoly:

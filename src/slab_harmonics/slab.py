@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .laplace import (
     _inverse_trace_series,
-    _length,
     _series,
     _series_product,
     _wall_series,
@@ -78,23 +77,24 @@ def solve_slab(prob: SlabProblem) -> MultiPoly:
 
         u0 = L^(-1) (S_b f0 - S_a f1),   u1 = L^(-1) (C_a f1 - C_b f0),
 
-    and h = C_t u0 + S_t u1 is cauchy_extension(u0, u1).  Each composite
-    series, such as S_b L^(-1), is a Cauchy product cut at the length of the
-    data it acts on, applied by one _series call; a datum keeps its
-    Laplacian chain, so it is walked once for both of its series.  The
-    walks of f0, f1, u0 and u1 share one monomial index, so each monomial's
-    Laplacian targets are computed once per solve: the monomials of u0 and
-    u1 lie in the chains of f0 and f1.  A zero datum has an empty chain,
-    and the series S_0 = 0 has zero coefficients, so both give zero parts
-    without a test.
+    and h = C_t u0 + S_t u1 is cauchy_extension(u0, u1).  The walks of f0,
+    f1, u0 and u1 share one monomial index, so each monomial's Laplacian
+    targets are computed once per solve: the monomials of u0 and u1 lie in
+    the chains of f0 and f1, which are walked first.  Each series is cut at
+    the length of the chain it meets: L^(-1) at the longer of those two, and
+    each composite series, such as S_b L^(-1), a Cauchy product applied by
+    one _series call, at that of its datum, whose kept chain serves both of
+    its series.  A zero datum has an empty chain, and the series S_0 = 0
+    has zero coefficients, so both give zero parts without a test.
     """
-    inverse = _inverse_trace_series(prob.b - prob.a, max(_length(prob.f0), _length(prob.f1)))
     index = _MonomialIndex()
+    n = max(len(prob.f0._y_chain(index)), len(prob.f1._y_chain(index)))
+    inverse = _inverse_trace_series(prob.b - prob.a, n)
 
     def part(f: MultiPoly, wall: Fraction, first: int) -> MultiPoly:
         # C_wall L^(-1) f (first = 0) or S_wall L^(-1) f (first = 1)
-        n = _length(f)
-        return _series(f, _series_product(_wall_series(wall, n, first), inverse, n), index)
+        wall_series = _wall_series(wall, len(f._y_chain()), first)
+        return _series(f, _series_product(wall_series, inverse))
 
     u0 = part(prob.f0, prob.b, 1) - part(prob.f1, prob.a, 1)
     u1 = part(prob.f1, prob.a, 0) - part(prob.f0, prob.b, 0)

@@ -23,7 +23,6 @@ from slab_harmonics import (
 from slab_harmonics.laplace import (
     _cot_series,
     _even_bernoulli,
-    _length,
     _series,
     _series_product,
     _wall_series,
@@ -183,7 +182,7 @@ def test_bernoulli_table_meets_von_staudt_clausen():
 def test_cot_series_times_s1_is_one_plus_c1():
     # sin(x)/x * x cot(x/2) = 1 + cos(x), cut at n terms
     n = 60
-    nums, den = _series_product(_wall_series(1, n, 1), _cot_series(n), n)
+    nums, den = _series_product(_wall_series(1, n, 1), _cot_series(n))
     c_nums, c_den = _wall_series(1, n, 0)
     assert [F(v, den) for v in nums] == [F(v, c_den) + (k == 0) for k, v in enumerate(c_nums)]
 
@@ -283,7 +282,7 @@ def test_a_polynomial_keeps_the_y_chain_a_walk_gives(monkeypatch):
             g = poisson_solve(p)
             assert walks == [p.as_integer_ratio()[0]]
             assert hasattr(p, "_ych") and not hasattr(g, "_ych")
-            nums, den = _cot_series(_length(g))
+            nums, den = _cot_series(len(p._y_chain()) + 1)
             kp = _series(p, (nums[1:], den))
             kg = _series(g, (nums, den))
             assert len(walks) == 2  # p's chain is kept, G's walked

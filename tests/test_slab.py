@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slab_harmonics import (
+    DiffEqProblem,
     MultiPoly,
     SlabProblem,
     VerificationReport,
@@ -18,11 +20,14 @@ from slab_harmonics import (
     invert_trace_operator,
     odd_ck_extension,
     odd_wall_reflection,
+    solve,
     solve_slab,
+    trace_operator,
     variables,
     verify_boundary,
     zero_data_rigidity,
 )
+from slab_harmonics import diffeq, laplace, slab
 from slab_harmonics.randgen import random_harmonic_poly, random_tfree_poly
 
 F = Fraction
@@ -62,6 +67,70 @@ def test_solve_slab_matching_harmonic_data():
     _, y1 = variables(1)
     prob = SlabProblem(F(0), F(1), 1, y1, y1)
     assert solve_slab(prob) == y1
+
+
+def _harmonic_sextics(d):
+    # the real and imaginary parts of (y1 + i y2)^6: y-harmonic, so each
+    # y-chain has 1 step, though degree 6 allows 6 // 2 + 1 = 4
+    y1, y2 = variables(d)[1:3]
+    re = im = MultiPoly.zero(d)
+    for k in range(7):
+        term = (y1 ** (6 - k) * y2 ** k).scale(math.comb(6, k) * (-1) ** (k // 2))
+        if k % 2:
+            im = im + term
+        else:
+            re = re + term
+    return re, im
+
+
+def test_solve_slab_on_data_whose_chain_is_shorter_than_its_degree_allows():
+    for d in (2, 3):
+        re, im = _harmonic_sextics(d)
+        t = variables(d)[0]
+        assert re.laplacian().is_zero and im.laplacian().is_zero
+        # on a copy, so that the first solve below walks re's chain on its index
+        assert len(MultiPoly(d, re.terms)._y_chain()) == 1
+        for a, b in ((F(0), F(1)), (F(-1, 2), F(2, 3)), (F(-3), F(-5, 4))):
+            h = solve_slab(SlabProblem(a, b, d, re, im))
+            # ((b - t) f0 + (t - a) f1) / (b - a)
+            line = re.scale(b) - t * re + t * im - im.scale(a)
+            assert h == line.scale(1 / (b - a))
+        for c in (F(3, 2), F(-2, 7)):
+            assert trace_operator(c, re) == re.scale(c)
+            assert invert_trace_operator(c, im) == im.scale(1 / c)
+        # a harmonic f0 beside a non-harmonic f1: the inverse is sized by f1
+        y1 = variables(d)[1]
+        prob = SlabProblem(F(-1, 3), F(2), d, re, y1 ** 6 + im)
+        assert verify_boundary(solve_slab(prob), prob).passed
+
+
+def test_every_series_on_a_solve_path_is_as_long_as_its_chain(monkeypatch):
+    # a Lap_y-series stops where the chain it meets stops: each _series call
+    # of the slab solve, the diffeq's K and the trace operators gets exactly
+    # as many coefficients as its datum's chain has steps
+    sizes = []
+    series = laplace._series
+
+    def sized(f, s):
+        out = series(f, s)
+        sizes.append((len(s[0]), len(f._y_chain())))
+        return out
+
+    for module in (laplace, slab, diffeq):
+        monkeypatch.setattr(module, "_series", sized)
+    rng = random.Random(43)
+    for d in (1, 2, 3):
+        re, im = _harmonic_sextics(max(d, 2))
+        for prob in (
+            _random_slab_problem(rng, d),
+            SlabProblem(F(1, 3), F(2), d, MultiPoly.zero(d), random_tfree_poly(rng, d, 7)),
+            SlabProblem(F(-1), F(1), max(d, 2), re, im),
+        ):
+            solve_slab(prob)
+            trace_operator(F(2, 5), prob.f1)
+            invert_trace_operator(F(2, 5), prob.f1)
+        solve(DiffEqProblem(random_harmonic_poly(rng, d, 9, max_terms=5), d))
+    assert sizes and all(n == steps for n, steps in sizes), sizes
 
 
 def test_solve_slab_random_contract():
