@@ -11,14 +11,14 @@ Lap_y, written with D = sqrt(Lap_y):
                         solution of h(t+1,y) - h(t,y) = g (see diffeq)
 
 The series are finite on polynomials because Lap_y strictly lowers degree.
-The inverse is (1/c) times the series of x/sin(x) in u = x^2 = c^2 Lap_y
-(DLMF 4.19), and K and x/sin(x) are both read off one table of Bernoulli
-numbers B_2k, built from the tangent numbers.  A table meets the height c
-of a wall or a trace only in _height_series.  The two extensions are one
-walk of poly's CK kernel (cauchy_extension).  One kernel, _series, applies
-any other series, given as its rational coefficients, to f; the chain
-Lap_y^k f that it reads is kept by f, so several series on one f walk it
-once.  A product of two operators is the Cauchy product of their lists.
+The inverse, and the slab's series C_x / S_w and S_x / S_w, are quotients
+by the sine series, each from one integer recurrence (_wall_quotients);
+K is read off a table of Bernoulli numbers B_2k, built from the tangent
+numbers.  A table meets the height c of a wall or a trace only in
+_height_series.  The two extensions are one walk of poly's CK kernel
+(cauchy_extension).  One kernel, _series, applies any other series, given
+as its rational coefficients, to f; the chain Lap_y^k f that it reads is
+kept by f, so several series on one f walk it once.
 The Poisson solver sums the radial |y|^2 ansatz of every homogeneous
 component by Horner in |y|^2 over one walk of the chain of its input.  Every
 walk of a chain Lap_y^k f is poly._chain, which keeps each step as its
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 
 from .poly import MultiPoly, Scalar, _cauchy_extension, _frac, _product_num
 
@@ -99,15 +100,6 @@ def _height_series(table: Sequence[tuple[int, int]], c: Fraction | int, first: i
     return [p * (den // q) for p, q in zip(nums, dens)], den
 
 
-def _wall_series(x: Fraction | int, n: int, first: int) -> Series:
-    """The first n terms of C_x = cos(x D) (first = 0) or of
-    S_x = sin(x D)/D (first = 1) in powers of Lap_y:
-    (-1)^k x^(2k + first) / (2k + first)!."""
-    return _height_series(
-        [((-1) ** k, math.factorial(2 * k + first)) for k in range(n)], x, first
-    )
-
-
 def _even_bernoulli(n: int) -> list[tuple[int, int]]:
     """The Bernoulli numbers B_0, B_2, ..., B_(2n-2) as pairs (p, q), q > 0.
     For k >= 1, B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) (DLMF 24.15) with
@@ -129,19 +121,6 @@ def _even_bernoulli(n: int) -> list[tuple[int, int]]:
     return table
 
 
-def _inverse_trace_series(c: Scalar, n: int) -> Series:
-    """The first n terms of L_c^(-1) = D / sin(c D) in powers of Lap_y:
-    A_k c^(2k-1), where A_k = (-1)^(k+1) (4^k - 2) B_2k / (2k)! is the
-    coefficient of x^(2k) in x/sin(x) (DLMF 4.19), and A_0 = 1."""
-    c = _frac(c)
-    if not c:
-        raise ValueError("trace operator height c must be nonzero")
-    return _height_series([
-        ((-1) ** (k + 1) * (4**k - 2) * p, q * math.factorial(2 * k))
-        for k, (p, q) in enumerate(_even_bernoulli(n))
-    ], c, -1)
-
-
 def _cot_series(n: int) -> Series:
     """The first n terms of K = D cot(D/2) in powers of Lap_y:
     K_k = 2 (-1)^k B_2k / (2k)!, so K_0 = 2.  It is the series with
@@ -152,17 +131,38 @@ def _cot_series(n: int) -> Series:
     ], 1, 0)
 
 
-def _series_product(x: Series, y: Series) -> Series:
-    """The product of two series cut at the length of x: the Cauchy product
-    of their numerators, over the product of their denominators."""
-    (xs, x_den), (ys, y_den) = x, y
-    n = len(xs)
-    out = [0] * n
-    for i, a in enumerate(xs):
-        if a:
-            for j, b in enumerate(ys[: n - i]):
-                out[i + j] += a * b
-    return out, x_den * y_den
+def _wall_quotients(x: Fraction | int, w: Fraction | int, n: int) -> tuple[Series, Series]:
+    """The first n terms of C_x / S_w and of S_x / S_w in powers of Lap_y,
+    with C_x = cos(x D), S_x = sin(x D)/D and w nonzero, from one pass of
+    the quotient recurrence of two power series (Knuth, TAOCP vol. 2, 4.7).
+
+    With X = sum_m x_m Lap_y^m, x_m = (-1)^m w^(2m-1) y_m / (2m)! and
+    r = x/w, S_w X = N reads sum_(j=0..m) C(2m+1, 2j+1) y_(m-j) = R_m, where
+    R_m = (2m+1) r^(2m) for N = C_x and x r^(2m) for N = S_x (x is
+    multiplied in at the end): each step multiplies earlier y by binomials
+    and divides by 2m+1.  The y are kept as integers times
+    lcm(1, 3, ..., 2n-1) and the denominator of r^(2n-2), which make every
+    division exact; one that is not raises ArithmeticError."""
+    r = Fraction(x, w)
+    p2, q2 = r.numerator ** 2, r.denominator ** 2
+    scale = math.lcm(*range(1, 2 * n, 2)) * q2 ** max(n - 1, 0)
+    rhs, den, sign = scale, scale, 1  # scale r^(2m), scale (2m)! and (-1)^m
+    yc, ys, c_table, s_table = [], [], [], []
+    for m in range(n):
+        k = 2 * m + 1
+        row = [math.comb(k, i) for i in range(3, k + 1, 2)]
+        c, c_rest = divmod(k * rhs - sum(map(mul, row, reversed(yc))), k)
+        s, s_rest = divmod(rhs - sum(map(mul, row, reversed(ys))), k)
+        if c_rest or s_rest:
+            raise ArithmeticError(f"inexact step {m} of the quotient by S_{w}")
+        yc.append(c)
+        ys.append(s)
+        c_table.append((sign * c, den))
+        s_table.append((sign * s * x.numerator, den * x.denominator))
+        rhs = rhs * p2 // q2
+        den *= k * (k + 1)
+        sign = -sign
+    return _height_series(c_table, w, -1), _height_series(s_table, w, -1)
 
 
 def cauchy_extension(u0: MultiPoly, u1: MultiPoly) -> MultiPoly:
@@ -189,18 +189,23 @@ def trace_operator(c: Scalar, g: MultiPoly) -> MultiPoly:
     Equals sum_k (-1)^k c^(2k+1) Lap_y^k g / (2k+1)!.
     """
     _require_t_free(g, "trace_operator input")
-    return _series(g, _wall_series(_frac(c), len(g._y_chain()), 1))
+    n = len(g._y_chain())
+    return _series(g, _height_series(
+        [((-1) ** k, math.factorial(2 * k + 1)) for k in range(n)], _frac(c), 1
+    ))
 
 
 def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:
     """Solve L_c g = p for t-free polynomial p.
 
-    L_c = c S(c^2 Lap_y) with S(u) the series of sin(x)/x in u = x^2, so
-    g = (1/c) A(c^2 Lap_y) p with A = 1/S, the series of x/sin(x), whose
-    coefficients come from the Bernoulli numbers (_even_bernoulli).
+    L_c = S_c, so g = (C_0 / S_c) p: the quotient of _wall_quotients at
+    x = 0, where r = 0 and the recurrence's right side is [m = 0].  It is
+    (1/c) times the series of x/sin(x) in c^2 Lap_y (DLMF 4.19).
     """
     _require_t_free(p, "invert_trace_operator input")
-    return _series(p, _inverse_trace_series(c, len(p._y_chain())))
+    if not c:
+        raise ValueError("trace operator height c must be nonzero")
+    return _series(p, _wall_quotients(0, c, len(p._y_chain()))[0])
 
 
 def poisson_solve(f: MultiPoly) -> MultiPoly:

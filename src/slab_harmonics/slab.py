@@ -12,15 +12,8 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping
-from fractions import Fraction
 
-from .laplace import (
-    _inverse_trace_series,
-    _series,
-    _series_product,
-    _wall_series,
-    even_ck_extension,
-)
+from .laplace import _series, _wall_quotients, even_ck_extension
 from .poly import (
     MultiPoly,
     Scalar,
@@ -77,27 +70,22 @@ def solve_slab(prob: SlabProblem) -> MultiPoly:
 
         u0 = L^(-1) (S_b f0 - S_a f1),   u1 = L^(-1) (C_a f1 - C_b f0),
 
-    and h = C_t u0 + S_t u1 is cauchy_extension(u0, u1).  The walks of f0,
-    f1, u0 and u1 share one monomial index, so each monomial's Laplacian
-    targets are computed once per solve: the monomials of u0 and u1 lie in
-    the chains of f0 and f1, which are walked first.  Each series is cut at
-    the length of the chain it meets: L^(-1) at the longer of those two, and
-    each composite series, such as S_b L^(-1), a Cauchy product applied by
-    one _series call, at that of its datum, whose kept chain serves both of
-    its series.  A zero datum has an empty chain, and the series S_0 = 0
-    has zero coefficients, so both give zero parts without a test.
+    and h = C_t u0 + S_t u1 is cauchy_extension(u0, u1).  Each composite
+    series, such as S_b L^(-1), is a quotient N / S_(b-a), and the two of a
+    wall, on one datum, come from one pass of _wall_quotients, cut at the
+    length of that datum's chain.  The walks of f0, f1, u0 and u1 share one
+    monomial index, so each monomial's Laplacian targets are computed once
+    per solve: the monomials of u0 and u1 lie in the chains of f0 and f1,
+    which are walked first.  A zero datum has an empty chain, and the
+    series S_0 / S_(b-a) = 0 has zero coefficients, so both give zero parts
+    without a test.
     """
     index = _MonomialIndex()
-    n = max(len(prob.f0._y_chain(index)), len(prob.f1._y_chain(index)))
-    inverse = _inverse_trace_series(prob.b - prob.a, n)
-
-    def part(f: MultiPoly, wall: Fraction, first: int) -> MultiPoly:
-        # C_wall L^(-1) f (first = 0) or S_wall L^(-1) f (first = 1)
-        wall_series = _wall_series(wall, len(f._y_chain()), first)
-        return _series(f, _series_product(wall_series, inverse))
-
-    u0 = part(prob.f0, prob.b, 1) - part(prob.f1, prob.a, 1)
-    u1 = part(prob.f1, prob.a, 0) - part(prob.f0, prob.b, 0)
+    w = prob.b - prob.a
+    cb, sb = _wall_quotients(prob.b, w, len(prob.f0._y_chain(index)))
+    ca, sa = _wall_quotients(prob.a, w, len(prob.f1._y_chain(index)))
+    u0 = _series(prob.f0, sb) - _series(prob.f1, sa)
+    u1 = _series(prob.f1, ca) - _series(prob.f0, cb)
     return _cauchy_extension(u0, u1, 0, index)
 
 

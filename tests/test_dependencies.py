@@ -83,3 +83,21 @@ def test_every_imported_name_is_used():
                     if name not in read
                 ]
     assert not unused
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # a module-level _name function or class that no module of the package
+    # reads is code only the tests call
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = {
+        node.name for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    assert defined and not defined - read

@@ -20,13 +20,8 @@ from slab_harmonics import (
     trace_operator,
     variables,
 )
-from slab_harmonics.laplace import (
-    _cot_series,
-    _even_bernoulli,
-    _series,
-    _series_product,
-    _wall_series,
-)
+from slab_harmonics import diffeq, laplace
+from slab_harmonics.laplace import _cot_series, _even_bernoulli, _series, _wall_quotients
 from slab_harmonics.poly import _chain, _MonomialIndex
 from slab_harmonics.randgen import random_harmonic_poly, random_tfree_poly
 
@@ -179,12 +174,46 @@ def test_bernoulli_table_meets_von_staudt_clausen():
         assert (b > 0) == (k % 2 == 1), k
 
 
-def test_cot_series_times_s1_is_one_plus_c1():
-    # sin(x)/x * x cot(x/2) = 1 + cos(x), cut at n terms
+def test_cot_series_is_the_quotient_c_half_over_s_half():
+    # K = D cot(D/2) = C_(1/2) / S_(1/2): the Bernoulli table against the
+    # quotient recurrence, cut at n terms
     n = 60
-    nums, den = _series_product(_wall_series(1, n, 1), _cot_series(n))
-    c_nums, c_den = _wall_series(1, n, 0)
-    assert [F(v, den) for v in nums] == [F(v, c_den) + (k == 0) for k, v in enumerate(c_nums)]
+    nums, den = _cot_series(n)
+    q_nums, q_den = _wall_quotients(F(1, 2), F(1, 2), n)[0]
+    assert [F(v, den) for v in nums] == [F(v, q_den) for v in q_nums]
+
+
+@pytest.mark.parametrize("f", [
+    MultiPoly(1, {(0, 400): 1}),
+    random_tfree_poly(random.Random(47), 3, 14, max_terms=8),
+], ids=["y^400", "random-d3"])
+def test_wall_quotients_times_s_w_are_the_ck_traces(f):
+    # S_w (C_x / S_w) f = C_x f and S_w (S_x / S_w) f = S_x f, the even and
+    # odd CK extensions of f at t = x: the right sides come from the CK
+    # kernel and traces, past the length the y^200 golden reaches (a chain
+    # of 201 steps for y^400)
+    n = len(f._y_chain())
+    even, odd = even_ck_extension(f), odd_ck_extension(f)
+    for a, b in ((F(1, 3), F(2)), (F(-7, 5), F(3, 11)), (F(0), F(1))):
+        w = b - a
+        for x in (a, b):
+            cos_q, sin_q = _wall_quotients(x, w, n)
+            assert trace_operator(w, _series(f, cos_q)) == even.trace(x), (a, b, x)
+            assert trace_operator(w, _series(f, sin_q)) == odd.trace(x), (a, b, x)
+
+
+def test_a_diffeq_solve_builds_one_bernoulli_table(monkeypatch):
+    # K reads the tangent-number table; the slab solve reads quotients by
+    # the sine series, so a diffeq solve builds the table once
+    calls = []
+    bernoulli = laplace._even_bernoulli
+    monkeypatch.setattr(laplace, "_even_bernoulli", lambda n: calls.append(n) or bernoulli(n))
+    rng = random.Random(53)
+    for d in (1, 2, 3):
+        g = random_harmonic_poly(rng, d, 9, max_terms=5)
+        calls.clear()
+        diffeq.solve(diffeq.DiffEqProblem(g, d))
+        assert len(calls) == 1, (d, calls)
 
 
 def test_operators_are_linear():
