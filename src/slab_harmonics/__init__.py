@@ -27,7 +27,6 @@ from .slab import (
     odd_wall_reflection,
     solve_slab,
     verify_boundary,
-    zero_data_rigidity,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "variables",
     "verify_boundary",
     "verify_difference",
-    "zero_data_rigidity",
 ]

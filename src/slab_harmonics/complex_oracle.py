@@ -106,6 +106,6 @@ def oracle_compare(g: MultiPoly, h_general: MultiPoly) -> VerificationReport:
     h_oracle = oracle_solve(g)
     residuals, r = _residue_check(h_general, h_oracle, g, ("general", "oracle"))
     extras = {"h_oracle": h_oracle} if r is None else {"r": r, "h_oracle": h_oracle}
-    return VerificationReport.from_residuals(
+    return VerificationReport(
         "oracle_compare", residuals, extras=extras, elapsed=time.perf_counter() - start
     )

@@ -151,7 +151,7 @@ def verify_difference(h: MultiPoly, g: MultiPoly) -> VerificationReport:
         difference = MultiPoly.zero(h.d)
     else:
         difference = h.shift_t(1) - h - g
-    return VerificationReport.from_residuals(
+    return VerificationReport(
         "difference_equation",
         {"difference": difference, "laplacian": laplacian},
         elapsed=time.perf_counter() - start,

@@ -295,7 +295,8 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, d: int) -> "MultiPoly":
-        return cls(d)
+        _check_dim(d)
+        return cls._reduced(d, {}, 1)
 
     @classmethod
     def constant(cls, d: int, value: Scalar) -> "MultiPoly":

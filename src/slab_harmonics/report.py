@@ -1,8 +1,9 @@
 """Structured pass/fail records for exact identity checks.
 
 A report carries the residual polynomials themselves rather than norms, so a
-failure is directly diagnosable and machine-checkable: the status is "pass"
-exactly when every residual is the zero polynomial.
+failure is directly diagnosable and machine-checkable.  Its status is not
+stored but computed: "pass" exactly when every residual is the zero
+polynomial.
 
 `Record` is the frozen value-object base of the report and of the problem
 and solution classes.
@@ -49,39 +50,33 @@ class Record:
 
 
 class VerificationReport(Record):
-    __slots__ = ("name", "status", "residuals", "extras", "elapsed")
+    """The residuals of one check; its status is read off them."""
+
+    __slots__ = ("name", "residuals", "extras", "elapsed")
 
     def __init__(
         self,
         name: str,
-        status: str,
         residuals: dict[str, MultiPoly],
         extras: dict[str, MultiPoly] | None = None,
         elapsed: float = 0.0,
     ):
-        self._freeze(name, status, residuals, {} if extras is None else extras, elapsed)
-
-    @classmethod
-    def from_residuals(
-        cls,
-        name: str,
-        residuals: dict[str, MultiPoly],
-        extras: dict[str, MultiPoly] | None = None,
-        elapsed: float = 0.0,
-    ) -> "VerificationReport":
-        status = PASS if all(r.is_zero for r in residuals.values()) else FAIL
-        return cls(name, status, dict(residuals), dict(extras or {}), elapsed)
+        self._freeze(name, residuals, {} if extras is None else extras, elapsed)
 
     @property
     def passed(self) -> bool:
-        return self.status == PASS
+        return all(r.is_zero for r in self.residuals.values())
+
+    @property
+    def status(self) -> str:
+        return PASS if self.passed else FAIL
 
     def nonzero_residuals(self) -> dict[str, MultiPoly]:
         return {k: r for k, r in self.residuals.items() if not r.is_zero}
 
     def to_json_text(self) -> str:
-        """The text json.dumps(self.to_json_dict()) gives: the scalars through
-        json.dumps, each polynomial through MultiPoly.to_json_text."""
+        """The report as JSON: the scalars through json.dumps, each
+        polynomial through MultiPoly.to_json_text."""
         text = '{"check": %s, "status": %s, "residuals": %s, "elapsed_seconds": %s' % (
             json.dumps(self.name),
             json.dumps(self.status),
@@ -91,9 +86,6 @@ class VerificationReport(Record):
         if self.extras:
             text += ', "extras": ' + _polys_text(self.extras)
         return text + "}"
-
-    def to_json_dict(self) -> dict:
-        return json.loads(self.to_json_text())
 
 
 def _polys_text(polys: dict[str, MultiPoly]) -> str:

@@ -99,15 +99,13 @@ def verify_boundary(h: MultiPoly, prob: SlabProblem) -> VerificationReport:
     """
     start = time.perf_counter()
     at_a, at_b = h.traces(prob.a, prob.b)
-    zero = MultiPoly._reduced(h.d, {}, 1)  # MultiPoly.zero without the checks
+    zero = MultiPoly.zero(h.d)
     residuals = {
         "trace_at_a": zero if at_a == prob.f0 else at_a - prob.f0,
         "trace_at_b": zero if at_b == prob.f1 else at_b - prob.f1,
         "laplacian": h.laplacian(),
     }
-    return VerificationReport.from_residuals(
-        "slab_boundary", residuals, elapsed=time.perf_counter() - start
-    )
+    return VerificationReport("slab_boundary", residuals, elapsed=time.perf_counter() - start)
 
 
 def even_reflection_identity(h: MultiPoly) -> VerificationReport:
@@ -117,7 +115,7 @@ def even_reflection_identity(h: MultiPoly) -> VerificationReport:
     start = time.perf_counter()
     two_h_even = even_ck_extension(h.trace(0)).scale(2)
     residual = (h + h.negate_t()) - two_h_even
-    return VerificationReport.from_residuals(
+    return VerificationReport(
         "even_reflection_identity",
         {"reflection": residual},
         elapsed=time.perf_counter() - start,
@@ -132,22 +130,8 @@ def odd_wall_reflection(h: MultiPoly, c: Scalar) -> VerificationReport:
         raise ValueError(f"odd_wall_reflection requires trace(h, {c}) = 0, got {wall_trace}")
     start = time.perf_counter()
     p = h.shift_t(c)
-    return VerificationReport.from_residuals(
+    return VerificationReport(
         "odd_wall_reflection",
         {"odd_reflection": p + p.negate_t()},
         elapsed=time.perf_counter() - start,
     )
-
-
-def zero_data_rigidity(h: MultiPoly, a: Scalar, b: Scalar) -> VerificationReport:
-    """A harmonic polynomial vanishing on both walls is identically zero.
-
-    (Its reflection extension is periodic in t; a periodic polynomial is
-    t-free, and a t-free polynomial vanishing at t = a is zero.)
-    """
-    _require_harmonic(h, "zero_data_rigidity requires a harmonic input")
-    start = time.perf_counter()
-    if not all(wall.is_zero for wall in h.traces(a, b)):
-        raise ValueError(f"zero_data_rigidity requires trace(h, {a}) = trace(h, {b}) = 0")
-    elapsed = time.perf_counter() - start
-    return VerificationReport.from_residuals("zero_data_rigidity", {"h": h}, elapsed=elapsed)

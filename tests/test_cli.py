@@ -594,7 +594,7 @@ def test_self_test_malformed_seed_exits_2(seed, monkeypatch, capsys):
 
 def test_self_test_failure_prints_replayable_problem(monkeypatch, capsys, tmp_path):
     def failing(*args):
-        return VerificationReport.from_residuals("forced", {"r": MultiPoly.constant(1, 1)})
+        return VerificationReport("forced", {"r": MultiPoly.constant(1, 1)})
 
     monkeypatch.setattr(slab, "verify_boundary", failing)
     monkeypatch.setattr(diffeq, "verify_difference", failing)

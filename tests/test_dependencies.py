@@ -8,6 +8,9 @@ import sys
 import tomllib
 from pathlib import Path
 
+import slab_harmonics
+from tracer import TARGETS
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "slab_harmonics"
 
@@ -101,3 +104,22 @@ def test_every_private_helper_is_read_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
     }
     assert defined and not defined - read
+
+
+def test_every_public_name_is_reached():
+    # a name in __all__ is read by another module of the package, imported
+    # by the acceptance suite, or the last part of a bench tracer target
+    read = {attr.rsplit(".", 1)[-1] for _, attr in TARGETS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    acceptance = ROOT / "tests" / "test_acceptance.py"
+    for node in ast.walk(ast.parse(acceptance.read_text(), str(acceptance))):
+        if isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    assert [name for name in slab_harmonics.__all__ if name not in read] == []

@@ -47,8 +47,9 @@ CASES = [(kind, d, deg) for kind in ("slab", "diffeq") for d, deg in ((1, 12), (
 CASES += [("slab", 1, 90), ("diffeq", 1, 90)]
 
 
-@pytest.mark.parametrize("kind,d,deg", CASES)
-def test_cli_solutions_pass_the_independent_check(kind, d, deg, tmp_path):
+def _solved(kind, d, deg, tmp_path):
+    """Solve one case through the CLI: the problem, the written output, h
+    as written, the checker of its kind and h tampered two ways."""
     rng = random.Random(1000 * d + deg)
     t, y1 = variables(d)[:2]
     if kind == "slab":
@@ -77,7 +78,32 @@ def test_cli_solutions_pass_the_independent_check(kind, d, deg, tmp_path):
         checker = check.check_diffeq
         # t-free, so the difference still holds; harmonic, but 2t + 1 apart
         tampered = {"h: laplacian": h + y1 * y1, "difference": h + t * t - y1 * y1}
+    return problem, solved, h_json, checker, tampered
+
+
+@pytest.mark.parametrize("kind,d,deg", CASES)
+def test_cli_solutions_pass_the_independent_check(kind, d, deg, tmp_path):
+    problem, _, h_json, checker, tampered = _solved(kind, d, deg, tmp_path)
     assert checker(problem, h_json, random.Random(deg)) == []
     for what, bad in tampered.items():
         failures = checker(problem, bad.to_json_dict(), random.Random(deg))
         assert failures and all(f.startswith(what) for f in failures), (what, failures)
+
+
+def _assert_verdict_is_read_off_the_residuals(report):
+    vanish = all(r["terms"] == [] for r in report["residuals"].values())
+    assert report["status"] == ("pass" if vanish else "fail"), report["status"]
+
+
+@pytest.mark.parametrize("kind,d,deg", CASES)
+def test_the_written_verdict_agrees_with_the_written_residuals(kind, d, deg, tmp_path):
+    problem, solved, _, checker, tampered = _solved(kind, d, deg, tmp_path)
+    _assert_verdict_is_read_off_the_residuals(solved["report"])
+    bundle, out = tmp_path / "bundle.json", tmp_path / "report.json"
+    for what, bad in tampered.items():
+        bundle.write_text(json.dumps({"kind": kind, "problem": problem, "h": bad.to_json_dict()}))
+        assert main(["verify", "--input", str(bundle), "--output", str(out), "--quiet"]) == 1
+        report = json.loads(out.read_text())
+        _assert_verdict_is_read_off_the_residuals(report)
+        assert report["status"] == "fail", what
+        assert checker(problem, bad.to_json_dict(), random.Random(deg)), what

@@ -2,6 +2,7 @@
 construction in field order, equality by fields, immutability, repr and
 the validation errors of the problems."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,12 @@ ZERO = MultiPoly.zero(1)
 CASES = [
     (SlabProblem, (0, "1/2", 1, Y1 * Y1, MultiPoly.constant(1, 3))),
     (DiffEqProblem, (T * Y1, 1)),
-    (VerificationReport, ("chk", "fail", {"r": Y1}, {"x": T}, 1.5)),
+    (VerificationReport, ("chk", {"r": Y1}, {"x": T}, 1.5)),
 ]
 FIELDS = {
     SlabProblem: ("a", "b", "d", "f0", "f1"),
     DiffEqProblem: ("g", "d"),
-    VerificationReport: ("name", "status", "residuals", "extras", "elapsed"),
+    VerificationReport: ("name", "residuals", "extras", "elapsed"),
 }
 
 
@@ -43,13 +44,25 @@ def test_fields_hold_the_constructor_arguments():
     prob = SlabProblem(0, "1/2", 1, Y1, ZERO)
     assert (prob.a, prob.b, prob.d, prob.f0, prob.f1) == (Fraction(0), Fraction(1, 2), 1, Y1, ZERO)
     assert type(prob.a) is Fraction and type(prob.b) is Fraction
-    report = VerificationReport("chk", "pass", {})
+    report = VerificationReport("chk", {})
     assert (report.extras, report.elapsed) == ({}, 0.0)
 
 
+def test_a_report_reads_its_status_off_its_residuals():
+    assert VerificationReport.__slots__ == ("name", "residuals", "extras", "elapsed")
+    for residuals, status in [
+        ({}, "pass"),
+        ({"a": ZERO, "b": MultiPoly.zero(2)}, "pass"),
+        ({"a": ZERO, "b": Y1}, "fail"),
+    ]:
+        report = VerificationReport("chk", residuals, {"x": T})
+        assert (report.status, report.passed) == (status, status == "pass")
+        assert json.loads(report.to_json_text())["status"] == status
+
+
 def test_each_report_gets_its_own_extras():
-    first = VerificationReport("chk", "pass", {})
-    second = VerificationReport("chk", "pass", {}, None)
+    first = VerificationReport("chk", {})
+    second = VerificationReport("chk", {}, None)
     assert first.extras == second.extras == {}
     assert first.extras is not second.extras
 
@@ -58,7 +71,7 @@ def test_each_report_gets_its_own_extras():
 OTHER_VALUES = {
     SlabProblem: (-1, 1, None, Y1, ZERO),
     DiffEqProblem: (T, None),
-    VerificationReport: ("other", "pass", {"r": T}, {}, 0.0),
+    VerificationReport: ("other", {"r": T}, {}, 0.0),
 }
 
 
@@ -106,8 +119,8 @@ def test_repr_lists_the_fields_in_order():
         "f0=MultiPoly(d=1, y1^2), f1=MultiPoly(d=1, 3))"
     )
     assert repr(DiffEqProblem(T * Y1, 1)) == "DiffEqProblem(g=MultiPoly(d=1, t*y1), d=1)"
-    assert repr(VerificationReport.from_residuals("chk", {"r": Y1}, {"x": T}, 1.5)) == (
-        "VerificationReport(name='chk', status='fail', residuals={'r': MultiPoly(d=1, y1)}, "
+    assert repr(VerificationReport("chk", {"r": Y1}, {"x": T}, 1.5)) == (
+        "VerificationReport(name='chk', residuals={'r': MultiPoly(d=1, y1)}, "
         "extras={'x': MultiPoly(d=1, t)}, elapsed=1.5)"
     )
 
