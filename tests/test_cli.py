@@ -1,8 +1,11 @@
 """End-to-end CLI tests against the JSON fixture files."""
 
 import argparse
+import gc
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -408,7 +411,7 @@ def test_main_parses_as_the_full_parser(argv, monkeypatch):
     for name, (_, options) in list(cli._COMMANDS.items()):
         monkeypatch.setitem(cli._COMMANDS, name, (parsed.append, options))
     main(argv)
-    assert parsed == [build_parser().parse_args(argv)]
+    assert list(map(vars, parsed)) == [vars(build_parser().parse_args(argv))]
 
 
 def test_readme_cli_block_lists_each_command_with_its_options():
@@ -843,3 +846,110 @@ def test_closed_stdout_exits_2_in_one_line(argv):
     err = proc.stderr.decode()
     assert proc.returncode == 2, err
     assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture
+def gc_back_on():
+    """Switch the collector back on after the test, whatever the test left."""
+    yield
+    gc.enable()
+
+
+def _closed_stdout(monkeypatch):
+    """Point sys.stdout at a pipe whose read end is closed; the file to close."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    pipe = open(write_end, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", pipe)
+    return pipe
+
+
+@pytest.mark.usefixtures("gc_back_on")
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, outcome", [
+    (["verify", "--input", fixture("verify_good.json"), "--quiet"], 0),
+    (["verify", "--input", fixture("verify_tampered.json"), "--quiet"], 1),
+    (["verify", "--input", "missing.json"], 2),
+    (["self-test", "--rounds", "0"], "closed stdout"),
+    (["verify", "--bogus"], SystemExit),
+    (["oracle-compare", "--input", "x"], RuntimeError),  # its handler raises
+], ids=["code 0", "code 1", "code 2", "closed stdout", "usage error", "handler raises"])
+def test_main_gives_back_the_collector_state_it_found(argv, outcome, enabled, monkeypatch, tmp_path):
+    # the command runs with the collector paused, and every way out of main
+    # leaves it as the caller had it
+    seen = []
+
+    def handler(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setitem(cli._COMMANDS, "oracle-compare", (handler, cli._COMMANDS["oracle-compare"][1]))
+    monkeypatch.chdir(tmp_path)  # where missing.json is missing
+    pipe = _closed_stdout(monkeypatch) if outcome == "closed stdout" else None
+    gc.enable() if enabled else gc.disable()
+    try:
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                main(argv)
+        else:
+            assert main(argv) == (2 if pipe else outcome)
+    finally:
+        if pipe:
+            pipe.close()  # its fd now writes to /dev/null
+    assert gc.isenabled() is enabled
+    assert seen == ([False] if outcome is RuntimeError else [])
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["solve-slab", "--input", fixture("slab_basic.json"), "--output", "{out}"], 0),
+    (["solve-diffeq", "--input", fixture("diffeq_basic.json"), "--output", "{out}"], 0),
+    (["oracle-compare", "--input", fixture("diffeq_oracle.json"), "--output", "{out}"], 0),
+    (["verify", "--input", fixture("verify_good.json"), "--output", "{out}"], 0),
+    (["verify", "--input", fixture("verify_tampered.json"), "--output", "{out}"], 1),
+    (["eval", "--input", fixture("poly_saddle.json"), "--grid", _GRID, "--output", "{out}"], 0),
+    (["self-test", "--rounds", "2"], 0),
+    (["solve-slab", "--input", "{bad}"], 2),
+])
+@pytest.mark.usefixtures("gc_back_on")
+def test_a_command_leaves_nothing_for_the_collector(argv, expected, tmp_path, capsys):
+    # the premise of pausing the collector: what a command builds holds no
+    # reference cycle, so reference counting frees all of it
+    bad = tmp_path / "bad.json"  # a coefficient that is no number
+    f0 = {"d": 1, "terms": [{"coeff": "x", "exps": [0, 1]}]}
+    bad.write_text(json.dumps({"a": "0", "b": "1", "d": 1, "f0": f0, "f1": {"d": 1, "terms": []}}))
+    argv = [token.format(out=tmp_path / "out", bad=bad) for token in argv]
+    gc.disable()
+    gc.collect()
+    assert main(argv) == expected
+    assert gc.collect() == 0
+
+
+@pytest.mark.usefixtures("gc_back_on")
+def test_a_large_verify_starts_no_collection(tmp_path, capsys):
+    # a dense d = 3, degree 12 slab: its solution has over 2,000 terms, and
+    # the collector would start some dozens of times reading and checking it
+    rng = random.Random(3)
+
+    def dense(n):
+        exps = (e for e in itertools.product(range(n + 1), repeat=3) if sum(e) <= n)
+        return MultiPoly(3, {(0, *e): rng.randint(1, 9) for e in exps})
+
+    prob = slab.SlabProblem(F(0), F(1), 3, dense(12), dense(12))
+    h = slab.solve_slab(prob)
+    assert len(h.terms) >= 2000
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text('{"kind": "slab", "problem": %s, "h": %s}'
+                      % (json.dumps(prob.to_json_dict()), h.to_json_text()))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        assert main(["verify", "--input", str(bundle), "--quiet"]) == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
