@@ -56,13 +56,18 @@ def bernoulli_polynomial(n: int) -> MultiPoly:
     return MultiPoly._reduced(1, {(k, 0): v for k, v in enumerate(num) if v}, den)
 
 
+def _swap_t_y1(u: MultiPoly) -> MultiPoly:
+    """u with the exponents of t and y1 exchanged."""
+    return MultiPoly._reduced(u.d, {(e[1], e[0]) + e[2:]: v for e, v in u._num.items()}, u._den)
+
+
 def harmonic_part(u0: MultiPoly, u1: MultiPoly) -> MultiPoly:
     """The harmonic h with h = u0 and dh/dy1 = u1 on y1 = 0, for u0 and u1
-    free of y1: the CK series in y1 with L = d2/dt2 + Lap_(y2..yd), from the
-    kernel the solvers run in t (poly._cauchy_extension)."""
+    free of y1: with t and y1 exchanged, the data are t-free, and the CK
+    kernel the solvers run in t (poly._cauchy_extension) extends them."""
     if any(e[1] for u in (u0, u1) for e in u._num):
         raise ValueError("harmonic_part takes Cauchy data free of y1")
-    return _cauchy_extension(u0, u1, 1)
+    return _swap_t_y1(_cauchy_extension(_swap_t_y1(u0), _swap_t_y1(u1)))
 
 
 def oracle_solve(g: MultiPoly) -> MultiPoly:

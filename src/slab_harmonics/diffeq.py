@@ -65,9 +65,9 @@ def solve(prob: DiffEqProblem) -> MultiPoly:
     Lap_y G = p exactly, and K_0 = 2: u0 = -(f + k_rest)/2 - G, with k_rest
     the sum over k >= 1, a series on p that reads the chain p kept from the
     Poisson solve; K is cut at that chain's length plus one, for K_0.  A
-    solve walks five chains: p's in the Poisson solve, then in the slab
-    solve those of its two wall data and of the two Cauchy data it
-    extends."""
+    solve walks four chains: p's in the Poisson solve, then in the slab
+    solve those of its wall data u0 and u0 + f and of its Cauchy datum u1
+    (its other one, at the wall t = 0, is u0)."""
     f = prob.g.trace(0)
     p, potential = _potential(prob.g)
     nums, den = _cot_series(len(p._y_chain()) + 1)

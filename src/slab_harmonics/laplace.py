@@ -21,7 +21,7 @@ as its rational coefficients, to f; the chain Lap_y^k f that it reads is
 kept by f, so several series on one f walk it once.
 The Poisson solver sums the radial |y|^2 ansatz of every homogeneous
 component by Horner in |y|^2 over one walk of the chain of its input.  Every
-walk of a chain Lap_y^k f is poly._chain, which keeps each step as its
+walk of a chain Lap_y^k f is f._y_chain, which keeps each step as its
 content and primitive numerators, so a series multiplies scalars into
 small numerators and divides none.  A series is sized by the chain it
 meets: Lap_y lowers degree, so the chain's length is where the series
@@ -52,17 +52,17 @@ Series = tuple[list[int], int]
 
 def _series(f: MultiPoly, series: Series) -> MultiPoly:
     """The sum sum_k (nums[k] / den) Lap_y^k f of the series (nums, den)
-    on t-free f.  The chain Lap_y^k f is the one f keeps (f._y_chain), so
-    several series on one f walk it once; each caller gives as many
-    coefficients as the chain has steps.  Its factors are
-    integers, so the sum is one integer map over den times the denominator
-    of f.  Each step is its content times primitive numerators.  The gcd of
-    that denominator with every coefficient times its step's content is
-    divided out of the scalars before the products are formed, so a
-    denominator full of factorials is never multiplied in and scanned out
-    term by term, and each term is one product of a scalar and a primitive
-    numerator."""
+    on t-free f, on the chain f keeps (f._y_chain): several series on one f
+    walk it once, and each caller gives as many coefficients as the chain
+    has steps.  The unit series (nums[0] = den, the rest 0) gives f itself.
+    Otherwise the sum is one integer map over den times the denominator of
+    f, with the gcd of that denominator and every coefficient times its
+    step's content divided out of the scalars first: a denominator full of
+    factorials is never multiplied in and scanned out term by term, and each
+    term is one product of a scalar and a primitive numerator."""
     nums, den = series
+    if nums[:1] == [den] and not any(nums[1:]):
+        return f
     den *= f._den
     steps = list(zip(nums, f._y_chain()))
     common = math.gcd(den, *(c * content for c, (content, _) in steps))

@@ -14,13 +14,13 @@ appear only at the edges: scalar arguments, the `terms` view and the value of
 `eval_exact`.  The canonical serialized term order is graded lexicographic
 (leading term first), with t ordered before y1 < ... < yd.
 
-Every walk of a Laplacian chain L^k f, for the y-Laplacian and for the
-Laplacian over every variable but y1, is _chain.  It runs on a
-_MonomialIndex, integer ids of the exponent tuples with each monomial's
-Laplacian targets computed once, which the walks of one solve share and
-which lives only as long as that call.  MultiPoly.laplacian_y applies the
-term-by-term kernel _laplacian_y_num instead, so a check of a walk's
-result shares no Laplacian code with the walk.
+The only Laplacian walked as a chain Lap_y^k f is the y-Laplacian, and
+every walk is f._y_chain, kept by f.  It runs _chain on a _MonomialIndex,
+integer ids of the exponent tuples with each monomial's Laplacian targets
+computed once, which the walks of one solve share and which lives only as
+long as that call.  MultiPoly.laplacian_y applies the term-by-term kernel
+_laplacian_y_num instead, so a check of a walk's result shares no
+Laplacian code with the walk.
 """
 
 from __future__ import annotations
@@ -124,20 +124,18 @@ def _product_num(a: Numerators, b: Numerators) -> Numerators:
 
 
 class _MonomialIndex:
-    """Integer ids of exponent tuples, for the Laplacian L over every
-    variable but index skip: keys[i] is the tuple of id i, and targets[i]
-    the pairs (id of the tuple with one exponent n > 1 lowered by 2,
-    n(n-1)) of L on that monomial, over the variables in order; None until
-    a walk first reaches the monomial.  So the walks that share an index
-    build and hash each target tuple once, and every other visit of a
-    monomial reads its targets by an integer.  An index belongs to the one
-    call that made it: a slab solve shares one among its four walks, and
-    it is dropped when that call returns."""
+    """Integer ids of exponent tuples, for the y-Laplacian: keys[i] is the
+    tuple of id i, and targets[i] the pairs (id of the tuple with one
+    y-exponent n > 1 lowered by 2, n(n-1)) of Lap_y on that monomial, over
+    the variables in order; None until a walk first reaches the monomial.
+    So the walks that share an index build and hash each target tuple once,
+    and every other visit of a monomial reads its targets by an integer.
+    An index belongs to the one call that made it: a slab solve shares one
+    among its walks, and it is dropped when that call returns."""
 
-    __slots__ = ("skip", "ids", "keys", "targets")
+    __slots__ = ("ids", "keys", "targets")
 
-    def __init__(self, skip: int = 0):
-        self.skip = skip
+    def __init__(self):
         self.ids: dict[tuple[int, ...], int] = {}
         self.keys: list[tuple[int, ...]] = []
         self.targets: list[list[tuple[int, int]] | None] = []
@@ -151,10 +149,10 @@ class _MonomialIndex:
 
     def _fill(self, i: int) -> list[tuple[int, int]]:
         """targets[i], computed on the first visit of monomial i."""
-        exps, ids, skip = self.keys[i], self.ids, self.skip
+        exps, ids = self.keys[i], self.ids
         out = []
         for var, n in enumerate(exps):
-            if n > 1 and var != skip:
+            if n > 1 and var:
                 e = exps[:var] + (n - 2,) + exps[var + 1 :]
                 j = ids.get(e)
                 out.append((self._new(e) if j is None else j, n * (n - 1)))
@@ -164,12 +162,12 @@ class _MonomialIndex:
 
 def _chain(num: Numerators, index: _MonomialIndex) -> list[tuple[int, Numerators]]:
     """(content, primitive numerators) of each nonzero L^k applied to num,
-    k = 0, 1, ..., with L the Laplacian of the index; the only loop that
-    applies L repeatedly.  Each step is divided by its gcd as it is walked
-    and L is applied to the quotient, so the content of L^k num is the
-    running product of those gcds and content times step is L^k num.  The
-    walk runs on the ids of the index, reads each monomial's targets there
-    (filling them on its first visit), and gives each step keyed by tuple.
+    k = 0, 1, ..., with L = Lap_y; the only loop that applies L repeatedly.
+    Each step is divided by its gcd as it is walked and L is applied to the
+    quotient, so content, the running product of those gcds, times step is
+    L^k num.  The walk runs on the ids of the index, reads each monomial's
+    targets there (filling them on its first visit), and gives each step
+    keyed by tuple.
     L lowers the degree by 2, so a chain has at most top // 2 + 1 steps,
     top the largest total degree of num; a walk that would go past that
     raises ArithmeticError.  The chain is empty for num = {}."""
@@ -209,31 +207,30 @@ def _primitive(num: Numerators) -> tuple[int, Numerators]:
 
 
 def _cauchy_extension(
-    u0: "MultiPoly", u1: "MultiPoly", var: int = 0, index: _MonomialIndex | None = None
+    u0: "MultiPoly", u1: "MultiPoly", index: _MonomialIndex | None = None
 ) -> "MultiPoly":
-    """The harmonic h with h = u0 and dh/dx = u1 on x = 0, x the variable at
-    index var, for u0 and u1 free of x: sum_n (-1)^(n//2) x^n/n! L^(n//2) u_(n%2),
-    L the Laplacian over the other variables.  Both chains are walked once
-    over integer numerators, on the caller's index of skip var or else on
-    one made here for the two, every term over den top! with the factor
-    top!/n! times the step's content, less their common gcd with den (the
-    content trick of laplace._series), on the primitive numerators of the
-    step; no two terms share a key."""
+    """The harmonic h with h = u0 and dh/dt = u1 on t = 0, for t-free u0
+    and u1: sum_n (-1)^(n//2) t^n/n! Lap_y^(n//2) u_(n%2).  Each datum's
+    chain is the one it keeps (u._y_chain), walked if need be on the
+    caller's index or else on one made here for the two; every term is over
+    den top! with the factor top!/n! times the step's content, less their
+    common gcd with den (the content trick of laplace._series), on the
+    primitive numerators of the step; no two terms share a key."""
     u0._check_space(u1)
     if index is None:
-        index = _MonomialIndex(var)
+        index = _MonomialIndex()
     den = math.lcm(u0._den, u1._den)
     steps = []  # (n, signed factor of u_(n%2), content, primitive numerators of L^(n//2) u_(n%2))
     for i, u in enumerate((u0, u1)):
         m = den // u._den
-        for k, (content, num) in enumerate(_chain(u._num, index)):
+        for k, (content, num) in enumerate(u._y_chain(index)):
             n = 2 * k + i
             steps.append((n, m if n % 4 < 2 else -m, content, num))
     top = max((step[0] for step in steps), default=0)
     den *= math.factorial(top)
     common = math.gcd(den, *(m * math.perm(top, top - n) * c for n, m, c, _ in steps))
     steps = [(n, m * math.perm(top, top - n) * c // common, num) for n, m, c, num in steps]
-    out = {e[:var] + (n,) + e[var + 1 :]: m * v for n, m, num in steps for e, v in num.items()}
+    out = {(n,) + e[1:]: m * v for n, m, num in steps for e, v in num.items()}
     return MultiPoly._reduced(u0.d, out, den // common)
 
 
@@ -570,8 +567,8 @@ class MultiPoly:
 
     def _y_chain(self, index: _MonomialIndex | None = None) -> list[tuple[int, Numerators]]:
         """_chain(numerators), the chain of the y-Laplacian, walked on the
-        first call (on the caller's index of skip 0, or on a new one) and
-        kept; callers must not change its steps."""
+        first call (on the caller's index, or on a new one) and kept; every
+        chain walk reads it, and callers must not change its steps."""
         try:
             return self._ych
         except AttributeError:

@@ -78,7 +78,7 @@ def solve_slab(prob: SlabProblem) -> MultiPoly:
     per solve: the monomials of u0 and u1 lie in the chains of f0 and f1,
     which are walked first.  A zero datum has an empty chain, and the
     series S_0 / S_(b-a) = 0 has zero coefficients, so both give zero parts
-    without a test.
+    without a test.  At a = 0, u0 = (S_b / S_b) f0 is f0, chain and all.
     """
     index = _MonomialIndex()
     w = prob.b - prob.a
@@ -86,7 +86,7 @@ def solve_slab(prob: SlabProblem) -> MultiPoly:
     ca, sa = _wall_quotients(prob.a, w, len(prob.f1._y_chain(index)))
     u0 = _series(prob.f0, sb) - _series(prob.f1, sa)
     u1 = _series(prob.f1, ca) - _series(prob.f0, cb)
-    return _cauchy_extension(u0, u1, 0, index)
+    return _cauchy_extension(u0, u1, index)
 
 
 def verify_boundary(h: MultiPoly, prob: SlabProblem) -> VerificationReport:

@@ -520,16 +520,15 @@ def test_integer_laplacian_matches_fraction_reference(p):
         got = lap.terms
         assert got == _laplacian_reference(p.terms, axes)
         assert all(type(c) is Fraction and c for c in got.values())
-    # on numerators: the y-Laplacian term by term, and the Laplacian over
-    # every variable but one as the second step of a chain walk
+    # on numerators: the y-Laplacian term by term, and as the second step of
+    # a chain walk
     num, den = p.as_integer_ratio()
     got = MultiPoly._reduced(p.d, _laplacian_y_num(num), den).terms
     assert got == _laplacian_reference(p.terms, every[1:])
-    for skip in every:
-        steps = poly._chain(num, poly._MonomialIndex(skip))
-        lap = {e: c * v for c, step in steps[1:2] for e, v in step.items()}
-        got = MultiPoly._reduced(p.d, lap, den).terms
-        assert got == _laplacian_reference(p.terms, [v for v in every if v != skip])
+    steps = poly._chain(num, poly._MonomialIndex())
+    lap = {e: c * v for c, step in steps[1:2] for e, v in step.items()}
+    got = MultiPoly._reduced(p.d, lap, den).terms
+    assert got == _laplacian_reference(p.terms, every[1:])
     # the full Laplacian is computed once and kept
     assert p.laplacian() is p.laplacian()
     # cancellation to zero: t^2 y^2 - (t^4 + y^4)/6 is harmonic at every d
@@ -540,13 +539,12 @@ def test_integer_laplacian_matches_fraction_reference(p):
 
 @st.composite
 def walk_inputs(draw):
-    """A dimension d = 1..5, a skip of 0 or 1, and a few numerator maps of
-    dimension d in drawn order: sparse with large coefficients, dense up to
-    a small degree, zero, or a part whose Laplacian over every variable but
-    skip cancels in full, plus sparse terms that keep the chain going."""
+    """A dimension d = 1..5 and a few numerator maps of dimension d in
+    drawn order: sparse with large coefficients, dense up to a small degree,
+    zero, or a part whose y-Laplacian cancels in full, plus sparse terms
+    that keep the chain going."""
     d = draw(st.integers(1, 5))
-    skip = draw(st.sampled_from([0, 1]))
-    axes = [v for v in range(d + 1) if v != skip]
+    axes = range(1, d + 1)
     exps = st.tuples(*[st.integers(0, 5) for _ in range(d + 1)])
     sparse = st.lists(st.tuples(exps, big_rationals), max_size=12).map(dict)
 
@@ -556,14 +554,14 @@ def walk_inputs(draw):
         return {e: rng.randint(-9, 9) or 1 for e in every if sum(e) <= n}
 
     def cancelling(k, extra):
-        # skip^k (6 a^2 b^2 - a^4 - b^4) for two axes a, b has L = 0, both
+        # t^k (6 a^2 b^2 - a^4 - b^4) for two axes a, b has Lap_y = 0, both
         # of its targets cancelling; at d = 1 there is one axis a, and
-        # skip^k a has L = 0
+        # t^k a has Lap_y = 0
         a, b = axes[0], axes[-1]
         terms = {}
         for ea, eb, c in ((2, 2, 6), (4, 0, -1), (0, 4, -1)) if a != b else ((1, 1, 1),):
             e = [0] * (d + 1)
-            e[skip], e[a], e[b] = k, ea, eb
+            e[0], e[a], e[b] = k, ea, eb
             terms[tuple(e)] = c
         return {**extra, **terms}
 
@@ -574,7 +572,7 @@ def walk_inputs(draw):
         st.builds(cancelling, st.integers(0, 3), sparse),
     )
     polys = draw(st.lists(kinds, min_size=1, max_size=5))
-    return d, skip, [MultiPoly(d, terms).as_integer_ratio()[0] for terms in polys]
+    return d, [MultiPoly(d, terms).as_integer_ratio()[0] for terms in polys]
 
 
 @settings(max_examples=80, deadline=None)
@@ -582,21 +580,21 @@ def walk_inputs(draw):
 def test_chain_steps_are_primitive_and_scale_to_the_laplacian_powers(case):
     # walks in drawn order on one shared index: each gives the chain a walk
     # on a fresh index gives, every step has numerator gcd 1, and its content
-    # times the step is L^k of the input, L the Laplacian over every variable
-    # but skip
-    d, skip, nums = case
-    axes = [v for v in range(d + 1) if v != skip]
-    index = poly._MonomialIndex(skip)
+    # times the step is Lap_y^k of the input
+    d, nums = case
+    axes = range(1, d + 1)
+    index = poly._MonomialIndex()
     for num in nums:
         steps = poly._chain(num, index)
-        assert steps == poly._chain(num, poly._MonomialIndex(skip))
+        assert steps == poly._chain(num, poly._MonomialIndex())
         power = num
         for content, step in steps:
             assert content > 0 and math.gcd(*step.values()) == 1
             assert {e: content * v for e, v in step.items()} == power
             power = _laplacian_reference(power, axes)
         assert not power  # the chain ends at the first zero power
-    # the index: one id per tuple, and each filled target is L of its monomial
+    # the index: one id per tuple, and each filled target is Lap_y of its
+    # monomial
     assert [index.ids[e] for e in index.keys] == list(range(len(index.keys)))
     for e, targets in zip(index.keys, index.targets):
         if targets is not None:
@@ -608,11 +606,11 @@ def test_each_laplacian_chain_is_walked_once(monkeypatch):
     # poly._chain is the one loop that applies a Laplacian repeatedly, and a
     # polynomial keeps the y-chain it walks: Poisson walks its whole input
     # once, the slab solver the chains of f0, f1, u0 and u1 (not f0's again
-    # if f0 was walked before), all on one index, so that each monomial's
-    # targets are computed once per slab solve, and the diffeq solver those
-    # of p = dg/dt(0,y) and of its slab solve's four.  The term-by-term
-    # kernel _laplacian_y_num serves laplacian_y alone, and no index
-    # outlives the call that made it.
+    # if f0 was walked before, and not u0's at a = 0, where u0 is f0), all
+    # on one index, so that each monomial's targets are computed once per
+    # slab solve, and the diffeq solver those of p = dg/dt(0,y) and of its
+    # slab solve's three.  The term-by-term kernel _laplacian_y_num serves
+    # laplacian_y alone, and no index outlives the call that made it.
     package = [m for name, m in sys.modules.items() if name.partition(".")[0] == "slab_harmonics"]
     walked, fills, callers, poissons = [], [], [], []
     chain, kernel, poisson = poly._chain, poly._laplacian_y_num, poisson_solve
@@ -667,7 +665,8 @@ def test_each_laplacian_chain_is_walked_once(monkeypatch):
         walked.clear()
         fills.clear()
         solve_slab(SlabProblem(a, F(2), 2, f0, f1))
-        assert len(walked) == fresh + 2  # f0 and f1 when fresh, then u0, u1
+        # f0 and f1 when fresh, then u0 unless it is f0, and u1
+        assert len(walked) == fresh + (1 if a == 0 else 2)
         data = [f0.as_integer_ratio()[0], f1.as_integer_ratio()[0]]
         assert walked_nums()[:fresh] == data[2 - fresh :]
         # one index, and each monomial any walk reached got its targets once
@@ -691,12 +690,38 @@ def test_each_laplacian_chain_is_walked_once(monkeypatch):
         solve(DiffEqProblem(g, d))
         # K G reads the chain of p that the Poisson solve walked
         assert poissons == [p]
-        assert len(walked) == 5  # p, then the slab solve's f0, f1, u0, u1
+        # p, then the slab solve's f0 = u0 and f1 = u0 + f, then u1
+        assert len(walked) == 4
         assert walked_nums()[0] == p.as_integer_ratio()[0]
         assert len({index for _, index, _ in walked[1:]}) == 1
         oracle_solve(g)
         assert not live_indices()
     assert set(callers) == {"laplacian_y"}
+
+
+def test_the_final_reduce_of_a_cauchy_extension_divides_nothing(monkeypatch):
+    # the CK kernel divides den and every scalar by their common gcd, each
+    # step's numerators are primitive and no two terms share a key, so the
+    # _reduce that wraps its output finds gcd 1 and hands back what it got
+    reduce, seen = poly._reduce, []
+
+    def recording(num, den):
+        out = reduce(num, den)
+        if sys._getframe(2).f_code.co_name == "_cauchy_extension":
+            seen.append(out[0] is num and out[1] == den)
+        return out
+
+    monkeypatch.setattr(poly, "_reduce", recording)
+    rng = random.Random(47)
+    for d in (1, 2, 3, 4):
+        for _ in range(12):
+            degree = (16, 10, 8, 6)[d - 1]
+            u0, u1 = (random_tfree_poly(rng, d, degree, max_terms=6) for _ in range(2))
+            for pair in ((u0, u1), (u0, MultiPoly.zero(d)), (MultiPoly.zero(d), u1)):
+                cauchy_extension(*pair)
+    prob = SlabProblem(F(1, 3), F(2), 1, MultiPoly(1, {(0, 200): 1}), MultiPoly.zero(1))
+    solve_slab(prob)
+    assert len(seen) == 4 * 12 * 3 + 1 and all(seen)
 
 
 def test_a_chain_walk_that_does_not_end_raises(monkeypatch):
