@@ -200,9 +200,6 @@ def _parse_grid(spec: str, d: int) -> list[list[float]]:
         # capped, so a range too long for a float count is over the bound too
         count = int(min((hi - lo) / step + 1e-9, _MAX_GRID_POINTS)) + 1
         axes[name] = (lo, step, count)
-    missing = [n for n in names if n not in axes]
-    if missing:
-        raise InputError(f"grid is missing variables: {missing}")
     if math.prod(axes[n][2] for n in names) > _MAX_GRID_POINTS:
         raise InputError(f"grid has more than {_MAX_GRID_POINTS:,} points, the bound for eval")
     return [[lo + i * step for i in range(count)] for lo, step, count in map(axes.get, names)]

@@ -14,9 +14,10 @@ The series are finite on polynomials because Lap_y strictly lowers degree.
 The inverse, and the slab's series C_x / S_w and S_x / S_w, are quotients
 by the sine series, each from one integer recurrence (_wall_quotients);
 K is read off a table of Bernoulli numbers B_2k, built from the tangent
-numbers.  A table meets the height c of a wall or a trace only in
-_height_series.  The two extensions are one walk of poly's CK kernel
-(cauchy_extension).  One kernel, _series, applies any other series, given
+numbers.  A table meets a height c only in _height_series, as c^(2k-1):
+at a wall w for the quotients, and at 1 for K.  The two extensions are one
+walk of poly's CK kernel (cauchy_extension), and the trace operator is the
+odd one read at t = c.  One kernel, _series, applies any other series, given
 as its rational coefficients, to f; the chain Lap_y^k f that it reads is
 kept by f, so several series on one f walk it once.
 The Poisson solver sums the radial |y|^2 ansatz of every homogeneous
@@ -37,7 +38,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
-from .poly import MultiPoly, Scalar, _cauchy_extension, _frac, _product_num
+from .poly import MultiPoly, Scalar, _cauchy_extension, _product_num
 
 
 def _require_t_free(p: MultiPoly, what: str) -> None:
@@ -76,16 +77,14 @@ def _series(f: MultiPoly, series: Series) -> MultiPoly:
     return MultiPoly._reduced(f.d, {e: v for e, v in out.items() if v}, den // common)
 
 
-def _height_series(table: Sequence[tuple[int, int]], c: Fraction | int, first: int) -> Series:
-    """The series sum_k (p_k / q_k) c^(2k + first) Lap_y^k from the pairs
-    (p_k, q_k), q_k > 0, of a table, first being -1, 0 or 1: each term
-    reduced, over the lcm of their denominators.  With c = u/v,
-    c^2 = u^2/v^2 and c^(-1) = sign(u) v/|u|.  This is the only place a
-    coefficient table meets a height, and the only place a series
-    denominator is chosen."""
+def _height_series(table: Sequence[tuple[int, int]], c: Fraction | int) -> Series:
+    """The series sum_k (p_k / q_k) c^(2k - 1) Lap_y^k from the pairs
+    (p_k, q_k), q_k > 0, of a table: each term reduced, over the lcm of
+    their denominators.  With c = u/v, c^2 = u^2/v^2 and
+    c^(-1) = sign(u) v/|u|.  This is the only place a coefficient table
+    meets a height, and the only place a series denominator is chosen."""
     u, v = c.numerator, c.denominator
-    # c^first as top / bottom with bottom > 0, for first = 0, 1 and -1
-    top, bottom = ((1, 1), (u, v), (v, u) if u > 0 else (-v, -u))[first]
+    top, bottom = (v, u) if u > 0 else (-v, -u)  # c^(-1), bottom > 0
     u2, v2 = u * u, v * v
     nums, dens = [], []
     for p, q in table:
@@ -128,7 +127,7 @@ def _cot_series(n: int) -> Series:
     return _height_series([
         (2 * (-1) ** k * p, q * math.factorial(2 * k))
         for k, (p, q) in enumerate(_even_bernoulli(n))
-    ], 1, 0)
+    ], 1)
 
 
 def _wall_quotients(x: Fraction | int, w: Fraction | int, n: int) -> tuple[Series, Series]:
@@ -162,7 +161,7 @@ def _wall_quotients(x: Fraction | int, w: Fraction | int, n: int) -> tuple[Serie
         rhs = rhs * p2 // q2
         den *= k * (k + 1)
         sign = -sign
-    return _height_series(c_table, w, -1), _height_series(s_table, w, -1)
+    return _height_series(c_table, w), _height_series(s_table, w)
 
 
 def cauchy_extension(u0: MultiPoly, u1: MultiPoly) -> MultiPoly:
@@ -184,15 +183,10 @@ def odd_ck_extension(g: MultiPoly) -> MultiPoly:
 
 
 def trace_operator(c: Scalar, g: MultiPoly) -> MultiPoly:
-    """L_c g = (odd CK extension of g) evaluated at t = c, kept t-free.
-
-    Equals sum_k (-1)^k c^(2k+1) Lap_y^k g / (2k+1)!.
-    """
+    """L_c g = (odd CK extension of g) evaluated at t = c, kept t-free:
+    sum_k (-1)^k c^(2k+1) Lap_y^k g / (2k+1)!."""
     _require_t_free(g, "trace_operator input")
-    n = len(g._y_chain())
-    return _series(g, _height_series(
-        [((-1) ** k, math.factorial(2 * k + 1)) for k in range(n)], _frac(c), 1
-    ))
+    return odd_ck_extension(g).trace(c)
 
 
 def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:

@@ -86,6 +86,8 @@ class _int_digits:
 
 
 def _check_exps(d: int, exps: tuple[int, ...]) -> None:
+    if not {int}.issuperset(map(type, exps)):  # no float, no bool
+        raise ValueError(f"exponents must be integers: {exps!r}")
     if len(exps) != d + 1:
         raise ValueError(f"exponent vector {exps} has length {len(exps)}, expected {d + 1}")
     if min(exps) < 0:
@@ -299,26 +301,11 @@ class MultiPoly:
     def constant(cls, d: int, value: Scalar) -> "MultiPoly":
         return cls(d, {(0,) * (d + 1): _frac(value)})
 
-    @classmethod
-    def variable(cls, d: int, index: int) -> "MultiPoly":
-        """The monomial for variable `index` (0 = t, 1..d = y1..yd)."""
-        if not 0 <= index <= d:
-            raise IndexError(f"variable index {index} out of range 0..{d}")
-        exps = [0] * (d + 1)
-        exps[index] = 1
-        return cls(d, {tuple(exps): Fraction(1)})
-
     # -- basic queries -----------------------------------------------------
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         return {e: Fraction(v, self._den) for e, v in self._num.items()}
-
-    def as_integer_ratio(self) -> tuple[Numerators, int]:
-        """The canonical pair (numerators, denominator): a copy of the
-        exponent -> nonzero integer map and the positive denominator coprime
-        to its content (1 for the zero polynomial)."""
-        return dict(self._num), self._den
 
     @property
     def is_zero(self) -> bool:
@@ -817,4 +804,4 @@ def _require_harmonic(p: MultiPoly, what: str) -> None:
 
 def variables(d: int) -> tuple[MultiPoly, ...]:
     """The tuple (t, y1, ..., yd) of coordinate polynomials in dimension d."""
-    return tuple(MultiPoly.variable(d, i) for i in range(d + 1))
+    return tuple(MultiPoly(d, {(0,) * i + (1,) + (0,) * (d - i): 1}) for i in range(d + 1))

@@ -12,12 +12,12 @@ import random
 from fractions import Fraction
 
 from .laplace import cauchy_extension
-from .poly import MultiPoly
+from .poly import MultiPoly, variables
 
 
-def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 4) -> Fraction:
-    num = rng.randint(-max_num, max_num)
-    return Fraction(num if num else 1, rng.randint(1, max_den))
+def random_rational(rng: random.Random) -> Fraction:
+    num = rng.randint(-9, 9)
+    return Fraction(num if num else 1, rng.randint(1, 4))
 
 
 def random_tfree_poly(
@@ -57,7 +57,7 @@ def random_y_harmonic(rng: random.Random, d: int, max_degree: int) -> MultiPoly:
     its variables are relabeled (t, y1, ..., y(d-1)) -> (y1, ..., yd).
     """
     if d == 1:
-        y1 = MultiPoly.variable(1, 1)
+        _, y1 = variables(1)
         return MultiPoly.constant(1, random_rational(rng)) + y1.scale(random_rational(rng))
     inner = random_harmonic_poly(rng, d - 1, max_degree)
     terms = {(0,) + exps: c for exps, c in inner.terms.items()}

@@ -314,9 +314,12 @@ def test_eval_zero_poly(tmp_path):
     "bogus",
     "t=0:1e9:1,y1=0:1:1",     # 2e9 points, over the bound
     "t=0:1:1,t=5:6:1,y1=0:0:1",  # t given twice
+    "bogus,y1=0:1:1",         # enough parts, one malformed
 ])
 def test_eval_malformed_grid(grid, capsys):
     assert main(["eval", "--input", fixture("poly_saddle.json"), "--grid", grid, "--quiet"]) == 2
+    if grid.startswith("bogus,"):
+        assert capsys.readouterr().err == "error: malformed grid component 'bogus'\n"
 
 
 def test_self_test_seeded(monkeypatch, capsys):

@@ -303,8 +303,8 @@ def test_verify_difference_reports_the_full_residuals(case):
 def _cauchy_reference(h, g):
     # the single dict pass over the terms of h and g that the check on the
     # y-monomial groupings replaced
-    h_num, h_den = h.as_integer_ratio()
-    g_num, g_den = g.as_integer_ratio()
+    h_num, h_den = h._num, h._den
+    g_num, g_den = g._num, g._den
     sums = {}  # (order, y-exponents) -> numerator
     for exps, v in h_num.items():
         k = exps[0]

@@ -107,3 +107,18 @@ def test_the_written_verdict_agrees_with_the_written_residuals(kind, d, deg, tmp
         _assert_verdict_is_read_off_the_residuals(report)
         assert report["status"] == "fail", what
         assert checker(problem, bad.to_json_dict(), random.Random(deg)), what
+
+
+@pytest.mark.parametrize("d,deg", [(1, 12), (2, 8), (3, 6)])
+def test_oracle_compare_output_passes_the_independent_check(d, deg, tmp_path):
+    problem, *_ = _solved("diffeq", d, deg, tmp_path)
+    path, out = tmp_path / "problem.json", tmp_path / "oracle.json"
+    assert main(["oracle-compare", "--input", str(path), "--output", str(out), "--quiet"]) == 0
+    written = json.loads(out.read_text())
+    h_json = written["solution"]
+    assert check.check_oracle(problem, written, h_json, random.Random(deg)) == []
+    # r + 1 is still t-free and harmonic: only the comparison h - h_oracle = r sees it
+    extras = written["report"]["extras"]
+    extras["r"] = (MultiPoly.from_json_dict(extras["r"]) + MultiPoly.constant(d, 1)).to_json_dict()
+    failures = check.check_oracle(problem, written, h_json, random.Random(deg))
+    assert failures and all(f.startswith("h - h_oracle != r") for f in failures), failures

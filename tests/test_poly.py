@@ -160,6 +160,18 @@ def test_eval_examples():
     assert (t * y1).eval_float((0.5, 0.5)) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         t.eval_exact((1, 2, 3))
+    with pytest.raises(ValueError, match="point has length 3, expected 2"):
+        t.eval_float((1, 2, 3))
+
+
+def test_a_polynomial_is_immutable_and_equals_only_polynomials():
+    t, _ = variables(1)
+    with pytest.raises(AttributeError, match="immutable"):
+        t.d = 2
+    with pytest.raises(AttributeError, match="immutable"):
+        t._num = {}
+    assert t.__eq__(1) is NotImplemented
+    assert MultiPoly.constant(1, 1) != 1 and not (MultiPoly.constant(1, 1) == 1)
 
 
 def test_zero_degree_sentinel():
@@ -436,7 +448,7 @@ def _assert_canonical(r):
     content (1 for zero), and equals what the public constructor makes of
     its own terms, which are nonzero Fractions."""
     assert isinstance(r, MultiPoly)
-    num, den = r.as_integer_ratio()
+    num, den = r._num, r._den
     assert type(den) is int and den > 0
     for exps, v in num.items():
         assert type(exps) is tuple and len(exps) == r.d + 1
@@ -522,7 +534,7 @@ def test_integer_laplacian_matches_fraction_reference(p):
         assert all(type(c) is Fraction and c for c in got.values())
     # on numerators: the y-Laplacian term by term, and as the second step of
     # a chain walk
-    num, den = p.as_integer_ratio()
+    num, den = p._num, p._den
     got = MultiPoly._reduced(p.d, _laplacian_y_num(num), den).terms
     assert got == _laplacian_reference(p.terms, every[1:])
     steps = poly._chain(num, poly._MonomialIndex())
@@ -534,7 +546,8 @@ def test_integer_laplacian_matches_fraction_reference(p):
     # cancellation to zero: t^2 y^2 - (t^4 + y^4)/6 is harmonic at every d
     d = p.d
     h = MultiPoly(d, {(2, 2) + (0,) * (d - 1): 1, (4,) + (0,) * d: F(-1, 6), (0, 4) + (0,) * (d - 1): F(-1, 6)})
-    assert h.laplacian().as_integer_ratio() == ({}, 1)
+    lap = h.laplacian()
+    assert (lap._num, lap._den) == ({}, 1)
 
 
 @st.composite
@@ -572,7 +585,7 @@ def walk_inputs(draw):
         st.builds(cancelling, st.integers(0, 3), sparse),
     )
     polys = draw(st.lists(kinds, min_size=1, max_size=5))
-    return d, [MultiPoly(d, terms).as_integer_ratio()[0] for terms in polys]
+    return d, [MultiPoly(d, terms)._num for terms in polys]
 
 
 @settings(max_examples=80, deadline=None)
@@ -652,7 +665,7 @@ def test_each_laplacian_chain_is_walked_once(monkeypatch):
     f = y1 ** 6 * y2 - (y1 * y2).scale(F(2, 3)) + MultiPoly.constant(2, 5) + y2 ** 4
     assert len({sum(e) for e in f.terms}) >= 3
     poisson_solve(f)
-    assert walked_nums() == [f.as_integer_ratio()[0]]
+    assert walked_nums() == [f._num]
     assert set(callers) == {"laplacian_y"}
 
     rng = random.Random(41)
@@ -667,7 +680,7 @@ def test_each_laplacian_chain_is_walked_once(monkeypatch):
         solve_slab(SlabProblem(a, F(2), 2, f0, f1))
         # f0 and f1 when fresh, then u0 unless it is f0, and u1
         assert len(walked) == fresh + (1 if a == 0 else 2)
-        data = [f0.as_integer_ratio()[0], f1.as_integer_ratio()[0]]
+        data = [f0._num, f1._num]
         assert walked_nums()[:fresh] == data[2 - fresh :]
         # one index, and each monomial any walk reached got its targets once
         (index,) = {index for _, index, _ in walked}
@@ -692,7 +705,7 @@ def test_each_laplacian_chain_is_walked_once(monkeypatch):
         assert poissons == [p]
         # p, then the slab solve's f0 = u0 and f1 = u0 + f, then u1
         assert len(walked) == 4
-        assert walked_nums()[0] == p.as_integer_ratio()[0]
+        assert walked_nums()[0] == p._num
         assert len({index for _, index, _ in walked[1:]}) == 1
         oracle_solve(g)
         assert not live_indices()
@@ -728,7 +741,7 @@ def test_a_chain_walk_that_does_not_end_raises(monkeypatch):
     # a kernel that maps each monomial to itself never lowers the degree: the
     # walk stops at top // 2 + 1 steps instead of running on
     monkeypatch.setattr(poly._MonomialIndex, "_fill", lambda index, i: [(i, 1)])
-    num = MultiPoly(2, {(0, 3, 2): 1, (0, 1, 0): 2}).as_integer_ratio()[0]
+    num = MultiPoly(2, {(0, 3, 2): 1, (0, 1, 0): 2})._num
     with pytest.raises(ArithmeticError, match="3 steps"):
         poly._chain(num, poly._MonomialIndex())
 
@@ -814,7 +827,7 @@ def _check_laplacian(p):
     assert q.laplacian() is lap
     # the Laplacian leaves the kept grouping whole, and so does shift_t,
     # which groups afresh because it rewrites its lists
-    num = q.as_integer_ratio()[0]
+    num = dict(q._num)
     assert q._fibres() == _t_fibres(num)
     q.shift_t(F(3, 2))
     assert q._fibres() == _t_fibres(num)
@@ -1005,11 +1018,19 @@ def test_public_constructor_still_validates():
             bad()
     p = MultiPoly(1, {(0, 1): 0, (1, 0): "2/4", (2, 0): 3})
     assert p.terms == {(1, 0): F(1, 2), (2, 0): F(3)}
-    assert p.as_integer_ratio() == ({(1, 0): 1, (2, 0): 6}, 2)
+    assert (p._num, p._den) == ({(1, 0): 1, (2, 0): 6}, 2)
     _assert_canonical(p)
     for d in (1, 3):
         _assert_canonical(MultiPoly.zero(d))
         assert MultiPoly.zero(d) == MultiPoly(d)
+
+
+def test_public_constructor_rejects_exponents_that_are_not_ints():
+    # a float exponent was once accepted, and written by to_json_text as an
+    # int; the JSON reader has always refused floats and bools
+    for exps in [(0, 1.5), (0, 2.0), (0, True), (False, 1), (F(1), 0)]:
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            MultiPoly(1, {exps: 1})
 
 
 # -- every kernel against a plain-Fraction reference ---------------------------
