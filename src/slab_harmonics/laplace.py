@@ -13,13 +13,14 @@ Lap_y, written with D = sqrt(Lap_y):
 The series are finite on polynomials because Lap_y strictly lowers degree.
 The inverse, and the slab's series C_x / S_w and S_x / S_w, are quotients
 by the sine series, each from one integer recurrence (_wall_quotients);
-K is read off a table of Bernoulli numbers B_2k, built from the tangent
-numbers.  A table meets a height c only in _height_series, as c^(2k-1):
-at a wall w for the quotients, and at 1 for K.  The two extensions are one
-walk of poly's CK kernel (cauchy_extension), and the trace operator is the
-odd one read at t = c.  One kernel, _series, applies any other series, given
-as its rational coefficients, to f; the chain Lap_y^k f that it reads is
-kept by f, so several series on one f walk it once.
+K is read straight off the tangent numbers (_cot_series), with no table
+of Bernoulli numbers.  A table meets a height c only in _height_series, as
+c^(2k-1): at a wall w for the quotients, and at 1 for K.  The two
+extensions are one walk of poly's CK kernel (cauchy_extension), and the
+trace operator is the odd one read at t = c.  One kernel, _series, applies
+any other series, given as its rational coefficients, to f; the chain
+Lap_y^k f that it reads is kept by f, so several series on one f walk it
+once.
 The Poisson solver sums the radial |y|^2 ansatz of every homogeneous
 component by Horner in |y|^2 over one walk of the chain of its input.  Every
 walk of a chain Lap_y^k f is f._y_chain, which keeps each step as its
@@ -38,7 +39,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
-from .poly import MultiPoly, Scalar, _cauchy_extension, _product_num
+from .poly import MultiPoly, Scalar, _cauchy_extension, _frac, _product_num
 
 
 def _require_t_free(p: MultiPoly, what: str) -> None:
@@ -55,15 +56,12 @@ def _series(f: MultiPoly, series: Series) -> MultiPoly:
     """The sum sum_k (nums[k] / den) Lap_y^k f of the series (nums, den)
     on t-free f, on the chain f keeps (f._y_chain): several series on one f
     walk it once, and each caller gives as many coefficients as the chain
-    has steps.  The unit series (nums[0] = den, the rest 0) gives f itself.
-    Otherwise the sum is one integer map over den times the denominator of
-    f, with the gcd of that denominator and every coefficient times its
+    has steps.  The sum is one integer map over den times the denominator
+    of f, with the gcd of that denominator and every coefficient times its
     step's content divided out of the scalars first: a denominator full of
     factorials is never multiplied in and scanned out term by term, and each
     term is one product of a scalar and a primitive numerator."""
     nums, den = series
-    if nums[:1] == [den] and not any(nums[1:]):
-        return f
     den *= f._den
     steps = list(zip(nums, f._y_chain()))
     common = math.gcd(den, *(c * content for c, (content, _) in steps))
@@ -99,12 +97,13 @@ def _height_series(table: Sequence[tuple[int, int]], c: Fraction | int) -> Serie
     return [p * (den // q) for p, q in zip(nums, dens)], den
 
 
-def _even_bernoulli(n: int) -> list[tuple[int, int]]:
-    """The Bernoulli numbers B_0, B_2, ..., B_(2n-2) as pairs (p, q), q > 0.
-    For k >= 1, B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) (DLMF 24.15) with
-    T_k the tangent numbers 1, 2, 16, 272, ..., computed in place as Brent
-    and Harvey (2011) do after Knuth and Buckholtz (1967): every step
-    multiplies an integer by a small one."""
+def _cot_series(n: int) -> Series:
+    """The first n terms of K = D cot(D/2) in powers of Lap_y, the series
+    with S_1 K = 1 + C_1, since sin(x) cot(x/2) = 1 + cos(x).  K_0 = 2 and,
+    for k >= 1, K_k = 2 (-1)^k B_2k / (2k)! = -2 T_k / (4^k (4^k - 1) (2k - 1)!)
+    (DLMF 24.15), with T_k the tangent numbers 1, 2, 16, 272, ...,
+    computed in place as Brent and Harvey (2011) do after Knuth and
+    Buckholtz (1967): every step multiplies an integer by a small one."""
     tan = [0] * n  # tan[k] = T_k for 1 <= k < n
     if n > 1:
         tan[1] = 1
@@ -113,20 +112,8 @@ def _even_bernoulli(n: int) -> list[tuple[int, int]]:
     for k in range(2, n):
         for j in range(k, n):
             tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
-    table, sign = [(1, 1)], 1
-    for k in range(1, n):
-        table.append((sign * 2 * k * tan[k], 4**k * (4**k - 1)))
-        sign = -sign
-    return table
-
-
-def _cot_series(n: int) -> Series:
-    """The first n terms of K = D cot(D/2) in powers of Lap_y:
-    K_k = 2 (-1)^k B_2k / (2k)!, so K_0 = 2.  It is the series with
-    S_1 K = 1 + C_1, since sin(x) cot(x/2) = 1 + cos(x)."""
-    return _height_series([
-        (2 * (-1) ** k * p, q * math.factorial(2 * k))
-        for k, (p, q) in enumerate(_even_bernoulli(n))
+    return _height_series([(2, 1)] + [
+        (-2 * tan[k], 4**k * (4**k - 1) * math.factorial(2 * k - 1)) for k in range(1, n)
     ], 1)
 
 
@@ -197,6 +184,7 @@ def invert_trace_operator(c: Scalar, p: MultiPoly) -> MultiPoly:
     (1/c) times the series of x/sin(x) in c^2 Lap_y (DLMF 4.19).
     """
     _require_t_free(p, "invert_trace_operator input")
+    c = _frac(c)
     if not c:
         raise ValueError("trace operator height c must be nonzero")
     return _series(p, _wall_quotients(0, c, len(p._y_chain()))[0])

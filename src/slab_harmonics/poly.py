@@ -566,26 +566,12 @@ class MultiPoly:
     # -- evaluation ----------------------------------------------------------
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact evaluation at a rational point of length d+1."""
+        """Exact evaluation at a rational point of length d+1: the sum of
+        c prod_i x_i^e_i over the terms c t^e_0 y1^e_1 ... yd^e_d."""
         if len(point) != self.d + 1:
             raise ValueError(f"point has length {len(point)}, expected {self.d + 1}")
-        if not self._num:
-            return Fraction(0)
-        # in integers: with x_i = p_i/q_i and D_i the degree in x_i, the value
-        # is sum_e v_e prod_i p_i^e_i q_i^(D_i - e_i) over den prod_i q_i^D_i
-        tables = []
-        scale = 1
-        for var, x in enumerate(point):
-            x = _frac(x)
-            top = max(e[var] for e in self._num)
-            tables.append([x.numerator**k * x.denominator ** (top - k) for k in range(top + 1)])
-            scale *= x.denominator**top
-        total = 0
-        for exps, v in self._num.items():
-            for table, e in zip(tables, exps):
-                v *= table[e]
-            total += v
-        return Fraction(total, self._den * scale)
+        xs = [_frac(x) for x in point]
+        return sum((c * math.prod(map(pow, xs, e)) for e, c in self.terms.items()), Fraction(0))
 
     def eval_float(self, point: Sequence[float]) -> float:
         """Float evaluation; convenient for sampling, not authoritative."""
@@ -804,4 +790,5 @@ def _require_harmonic(p: MultiPoly, what: str) -> None:
 
 def variables(d: int) -> tuple[MultiPoly, ...]:
     """The tuple (t, y1, ..., yd) of coordinate polynomials in dimension d."""
+    _check_dim(d)
     return tuple(MultiPoly(d, {(0,) * i + (1,) + (0,) * (d - i): 1}) for i in range(d + 1))

@@ -85,6 +85,11 @@ MUTANTS = [
         "shift_t drops its t^3 terms",
     ),
     Mutant(
+        "eval-reversed-point", "src/slab_harmonics/poly.py",
+        "map(pow, xs, e)", "map(pow, reversed(xs), e)",
+        "eval_exact pairs the exponents with the point reversed",
+    ),
+    Mutant(
         "json-negative-exponent", "src/slab_harmonics/poly.py",
         "map(type, flat)) and min(flat, default=0) >= 0):", "map(type, flat))):",
         "_json_terms accepts negative exponents",
@@ -121,9 +126,14 @@ MUTANTS = [
         "S_x / S_w without x's denominator",
     ),
     Mutant(
-        "unit-series", "src/slab_harmonics/laplace.py",
-        "if nums[:1] == [den] and not any(nums[1:]):", "if nums[:1] == [den]:",
-        "_series returns its datum when only nums[0] is the unit",
+        "tangent-step", "src/slab_harmonics/laplace.py",
+        "(j - k + 2) * tan[j]", "(j - k + 1) * tan[j]",
+        "a step of _cot_series' tangent-number recurrence",
+    ),
+    Mutant(
+        "cot-sign", "src/slab_harmonics/laplace.py",
+        "(-2 * tan[k], ", "(2 * tan[k], ",
+        "K_k for k >= 1 has the wrong sign",
     ),
     Mutant(
         "poisson-q", "src/slab_harmonics/laplace.py",
@@ -134,6 +144,11 @@ MUTANTS = [
         "cauchy-residual-skip", "src/slab_harmonics/diffeq.py",
         "        if sum(a[1:]) * g_den != g0 * h_den:\n            return False\n", "",
         "_cauchy_residuals_vanish skips its r(0,y) check",
+    ),
+    Mutant(
+        "wall-a-zero-branch", "src/slab_harmonics/slab.py",
+        "u0 = prob.f0 if not prob.a else", "u0 = prob.f0 if prob.a >= 0 else",
+        "solve_slab takes u0 = f0 at every wall a >= 0, not only at a = 0",
     ),
     Mutant(
         "trace-at-b-zero", "src/slab_harmonics/slab.py",

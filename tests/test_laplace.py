@@ -20,8 +20,8 @@ from slab_harmonics import (
     trace_operator,
     variables,
 )
-from slab_harmonics import diffeq, laplace
-from slab_harmonics.laplace import _cot_series, _even_bernoulli, _series, _wall_quotients
+from slab_harmonics import diffeq
+from slab_harmonics.laplace import _cot_series, _series, _wall_quotients
 from slab_harmonics.poly import _chain, _MonomialIndex
 from slab_harmonics.randgen import random_harmonic_poly, random_tfree_poly
 
@@ -102,10 +102,22 @@ def test_invert_trace_operator_examples():
     ) == -(y1 * y1)
 
 
+def test_invert_trace_operator_takes_every_scalar_height():
+    # like trace_operator, its inverse takes a height as a str, a float, a
+    # Fraction or an int, and means the same rational by each
+    _, y1 = variables(1)
+    p = y1 ** 4 - (y1 * y1).scale(F(2, 7)) + y1
+    for c, exact in (("3/2", F(3, 2)), (0.5, F(1, 2)), (F(3, 2), F(3, 2)), (2, F(2))):
+        g = invert_trace_operator(c, p)
+        assert g == invert_trace_operator(exact, p), c
+        assert trace_operator(c, g) == p, c
+
+
 def test_invert_trace_operator_rejects_zero_height():
     _, y1 = variables(1)
-    with pytest.raises(ValueError):
-        invert_trace_operator(0, y1)
+    for c in (0, "0", 0.0):
+        with pytest.raises(ValueError):
+            invert_trace_operator(c, y1)
 
 
 def test_trace_operator_round_trip_random():
@@ -157,12 +169,14 @@ def test_cot_series_is_the_bernoulli_series():
 
 
 def test_bernoulli_table_meets_von_staudt_clausen():
-    # B_2k for 2k <= 400, the length of the chain of y^800, where no golden
-    # reaches: B_2k + sum_((p-1) | 2k) 1/p is an integer (von Staudt-Clausen),
-    # so the denominator of B_2k is the product of those primes p; and B_2k
-    # has the sign (-1)^(k-1)
+    # B_2k = (-1)^k (2k)! K_k / 2 from K's tangent numbers, for 2k <= 400,
+    # the length of the chain of y^800, where no golden reaches:
+    # B_2k + sum_((p-1) | 2k) 1/p is an integer (von Staudt-Clausen), so the
+    # denominator of B_2k is the product of those primes p; and B_2k has the
+    # sign (-1)^(k-1)
     n = 201
-    bern = [F(p, q) for p, q in _even_bernoulli(n)]
+    nums, den = _cot_series(n)
+    bern = [(-1) ** k * math.factorial(2 * k) * F(v, den) / 2 for k, v in enumerate(nums)]
     assert len(bern) == n and bern[:4] == [1, F(1, 6), F(-1, 30), F(1, 42)]
     assert bern[6] == F(-691, 2730)
     primes = [p for p in range(2, 2 * n) if all(p % q for q in range(2, math.isqrt(p) + 1))]
@@ -174,7 +188,7 @@ def test_bernoulli_table_meets_von_staudt_clausen():
 
 
 def test_cot_series_is_the_quotient_c_half_over_s_half():
-    # K = D cot(D/2) = C_(1/2) / S_(1/2): the Bernoulli table against the
+    # K = D cot(D/2) = C_(1/2) / S_(1/2): the tangent-number series against the
     # quotient recurrence, cut at n terms
     n = 60
     nums, den = _cot_series(n)
@@ -202,11 +216,12 @@ def test_wall_quotients_times_s_w_are_the_ck_traces(f):
 
 
 def test_a_diffeq_solve_builds_one_bernoulli_table(monkeypatch):
-    # K reads the tangent-number table; the slab solve reads quotients by
-    # the sine series, so a diffeq solve builds the table once
+    # K reads the tangent numbers; the slab solve reads quotients by the
+    # sine series, so a diffeq solve builds K once (diffeq binds the name
+    # _cot_series at import, so the patch is on diffeq)
     calls = []
-    bernoulli = laplace._even_bernoulli
-    monkeypatch.setattr(laplace, "_even_bernoulli", lambda n: calls.append(n) or bernoulli(n))
+    cot_series = diffeq._cot_series
+    monkeypatch.setattr(diffeq, "_cot_series", lambda n: calls.append(n) or cot_series(n))
     rng = random.Random(53)
     for d in (1, 2, 3):
         g = random_harmonic_poly(rng, d, 9, max_terms=5)

@@ -1010,6 +1010,8 @@ def test_public_constructor_still_validates():
         lambda: MultiPoly(0),
         lambda: MultiPoly.zero(0),
         lambda: MultiPoly(-1, {}),
+        lambda: variables(0),
+        lambda: variables(-1),
         lambda: MultiPoly(1, {(1,): 1}),
         lambda: MultiPoly(1, {(1, 0, 0): 1}),
         lambda: MultiPoly(2, {(0, -1, 0): 1}),
